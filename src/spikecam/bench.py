@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,14 +23,7 @@ import numpy as np
 from .calibration import CalibrationData, make_calibration
 from .metrics import psnr, ssim
 from .noise import NoiseConfig, make_rng, split_rng
-from .reconstruct import (
-    RecurrentRestorer,
-    RestorerState,
-    adaptive_transform,
-    correct_fixed_pattern,
-    tfi,
-    tfp,
-)
+from .reconstruct import RecurrentRestorer, check_method, reconstruct
 from .simulate import SimulationRequest, simulate
 from .streams import SpikeStream, validate_image
 
@@ -136,9 +130,6 @@ def make_translating_sequence(
 # method specs
 
 
-_METHOD_KINDS = ("tfp", "tfi", "ast", "recurrent")
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     """One reconstruction method to benchmark.
@@ -153,13 +144,7 @@ class MethodSpec:
     steps: int = 8
 
     def __post_init__(self) -> None:
-        if self.kind not in _METHOD_KINDS:
-            raise ValueError(f"unknown method kind {self.kind!r}, expected one of {_METHOD_KINDS}")
-        if self.kind == "tfp":
-            if self.window is None or self.window < 1:
-                raise ValueError("tfp needs a positive window")
-        elif self.window is not None:
-            raise ValueError(f"{self.kind} does not take a window")
+        check_method(self.kind, self.window)
         if self.kind == "recurrent" and self.steps < 1:
             raise ValueError(f"recurrent needs at least one step, got {self.steps}")
 
@@ -172,6 +157,12 @@ class MethodSpec:
     @property
     def parameter(self) -> str:
         return "" if self.window is None else str(self.window)
+
+
+# The sweep `spikecam bench` runs.
+DEFAULT_METHODS = tuple(MethodSpec("tfp", w) for w in (32, 64, 128, 256)) + tuple(
+    MethodSpec(kind) for kind in ("tfi", "ast", "recurrent")
+)
 
 
 # ----------------------------------------------------------------------
@@ -255,6 +246,25 @@ class BenchmarkReport:
                 out.append(f"  stage {name} psnr={_fmt(p, 4)} ssim={_fmt(s, 6)}")
         return "\n".join(out) + "\n"
 
+    def to_summary(self) -> str:
+        """Per-method mean PSNR (low, high, all cells) and SSIM; failed cells left out."""
+        ok = [row for row in self.rows if row.error is None]
+        out = [
+            f"{len(self.rows)} cells, {len(self.rows) - len(ok)} failed",
+            f"{'method':<12} {'low dB':>8} {'high dB':>8} {'mean dB':>8} {'ssim':>7}",
+        ]
+        for method in dict.fromkeys(row.method for row in self.rows):
+            picked = [row for row in ok if row.method == method]
+            if not picked:
+                out.append(f"{method:<12} {'all cells failed':>26}")
+                continue
+            by_illum = [[r.psnr for r in picked if r.illumination == i] for i in ("low", "high")]
+            low, high = (f"{np.mean(p):8.2f}" if p else f"{'-':>8}" for p in by_illum)
+            mean_psnr = np.mean([r.psnr for r in picked])
+            mean_ssim = np.mean([r.ssim for r in picked])
+            out.append(f"{method:<12} {low} {high} {mean_psnr:8.2f} {mean_ssim:7.4f}")
+        return "\n".join(out) + "\n"
+
 
 def _fmt(value: float | None, digits: int) -> str:
     if value is None:
@@ -271,7 +281,7 @@ def _fmt(value: float | None, digits: int) -> str:
 def run_benchmark(
     scenes: list[Scene],
     calib: CalibrationData,
-    methods: list[MethodSpec],
+    methods: Sequence[MethodSpec],
     seed: int,
     *,
     noise: NoiseConfig | None = None,
@@ -324,20 +334,14 @@ def _score_method(
     scene_name: str,
     illumination: str,
 ) -> BenchRow:
+    cell = dict(
+        scene=scene_name, illumination=illumination, method=spec.label, parameter=spec.parameter
+    )
     start = time.perf_counter()
     stages: tuple[tuple[str, float, float], ...] = ()
     try:
-        if spec.kind == "tfp":
-            image = tfp(stream, eval_tick, spec.window)
-        elif spec.kind == "tfi":
-            image = tfi(stream, eval_tick)
-        elif spec.kind == "ast":
-            boot = min(64, stream.length)
-            state = RestorerState(density_map=stream.density_map(0, boot))
-            image = correct_fixed_pattern(
-                adaptive_transform(stream, eval_tick, state), calib
-            )
-        else:
+        if spec.kind == "recurrent":
+            # Stepped here, not through reconstruct, for the per-stage images.
             spacing = max(1, eval_tick // spec.steps)
             ticks = [eval_tick - (spec.steps - 1 - i) * spacing for i in range(spec.steps)]
             ticks = [t for t in ticks if t >= 0]
@@ -346,39 +350,24 @@ def _score_method(
             for t in ticks:
                 result = restorer.step(t)
             image = result.output
+            images = (result.adaptive, result.corrected, result.fused, result.denoised, image)
             stages = tuple(
                 (name, psnr(gt, stage), ssim(gt, stage))
-                for name, stage in zip(
-                    STAGE_NAMES,
-                    (
-                        result.adaptive,
-                        result.corrected,
-                        result.fused,
-                        result.denoised,
-                        result.output,
-                    ),
-                )
+                for name, stage in zip(STAGE_NAMES, images)
             )
+        else:
+            image = reconstruct(stream, spec.kind, [eval_tick], calib, window=spec.window)[0]
     except Exception as exc:
         log.warning("method %s failed on scene %s: %s", spec.label, scene_name, exc)
         return BenchRow(
-            scene=scene_name,
-            illumination=illumination,
-            method=spec.label,
-            parameter=spec.parameter,
+            **cell,
             psnr=float("nan"),
             ssim=float("nan"),
             runtime=time.perf_counter() - start,
             error=f"{type(exc).__name__}: {exc}",
         )
     runtime = time.perf_counter() - start
+    image = np.clip(image, 0.0, _FULL_SCALE)
     return BenchRow(
-        scene=scene_name,
-        illumination=illumination,
-        method=spec.label,
-        parameter=spec.parameter,
-        psnr=psnr(gt, np.clip(image, 0.0, _FULL_SCALE)),
-        ssim=ssim(gt, np.clip(image, 0.0, _FULL_SCALE)),
-        runtime=runtime,
-        stages=stages,
+        **cell, psnr=psnr(gt, image), ssim=ssim(gt, image), runtime=runtime, stages=stages
     )

@@ -103,16 +103,7 @@ def identity_calibration(
     width: int, height: int, clock: ClockParams | None = None
 ) -> CalibrationData:
     """Ideal sensor: no dark current, uniform response."""
-    clock = clock or ClockParams()
-    shape = (height, width)
-    return CalibrationData(
-        L_d=np.zeros(shape),
-        R=np.ones(shape),
-        Q_r=np.full(shape, clock.max_intensity),
-        D_dark=np.full(shape, np.inf),
-        reference_pixel=(0, 0),
-        clock=clock,
-    )
+    return make_calibration(np.zeros((height, width)), np.ones((height, width)), clock=clock)
 
 
 def make_calibration(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import MethodSpec, Scene, make_scenes, run_benchmark, synthetic_calibration
+from .bench import DEFAULT_METHODS, Scene, make_scenes, run_benchmark, synthetic_calibration
 from .calibration import CalibrationError, build_calibration, identity_calibration
 from .formats import (
     FormatError,
@@ -30,7 +30,7 @@ from .formats import (
 )
 from .metrics import psnr, ssim
 from .noise import NoiseConfig
-from .reconstruct import RestorerState, adaptive_transform, correct_fixed_pattern, restore_recurrent, tfi, tfp
+from .reconstruct import reconstruct
 from .simulate import SimulationRequest, simulate
 from .streams import SpikeStream
 
@@ -124,10 +124,6 @@ def _load_calibration(path: str | None, stream: SpikeStream):
     return calib
 
 
-def _fmt_metric(value: float, digits: int) -> str:
-    return str(round(value, digits))
-
-
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -174,22 +170,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     stream = _load_stream(args.stream, args.raw, args.msb_first)
     ticks = _parse_ticks(args.at)
-    if args.method == "tfp":
-        if args.window is None:
-            raise UsageError("--method tfp requires --window")
-        images = [tfp(stream, t, args.window) for t in ticks]
-    elif args.method == "tfi":
-        images = [tfi(stream, t) for t in ticks]
-    elif args.method == "ast":
-        calib = _load_calibration(args.calib, stream)
-        state = RestorerState(density_map=stream.density_map(0, min(64, stream.length)))
-        images = [
-            correct_fixed_pattern(adaptive_transform(stream, t, state), calib)
-            for t in ticks
-        ]
-    else:
-        calib = _load_calibration(args.calib, stream)
-        images = restore_recurrent(stream, calib, ticks=ticks)
+    calib = _load_calibration(args.calib, stream)
+    method = "recurrent" if args.method == "rsir" else args.method
+    images = reconstruct(stream, method, ticks, calib, window=args.window)
     for t, image in zip(ticks, images):
         path = f"{args.out_prefix}{t:06d}.pgm"
         write_image(np.clip(image, 0.0, 255.0), path, bit_depth=16)
@@ -200,7 +183,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     gt = read_image(args.gt)
     pred = read_image(args.pred)
-    print(f"psnr={_fmt_metric(psnr(gt, pred), 4)} ssim={_fmt_metric(ssim(gt, pred), 6)}")
+    print(f"psnr={round(psnr(gt, pred), 4)} ssim={round(ssim(gt, pred), 6)}")
     return 0
 
 
@@ -217,10 +200,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         calib = read_calibration(args.calib)
     else:
         calib = synthetic_calibration(width, height, seed=args.seed)
-    methods = [MethodSpec("tfp", w) for w in (32, 64, 128, 256)]
-    methods += [MethodSpec("tfi"), MethodSpec("ast"), MethodSpec("recurrent")]
-    report = run_benchmark(scenes, calib, methods, args.seed)
+    report = run_benchmark(scenes, calib, DEFAULT_METHODS, args.seed)
     sys.stdout.write(report.to_csv())
+    sys.stderr.write(report.to_summary())
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:
             fh.write(report.to_text())
@@ -294,7 +276,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--pred", required=True, help="predicted graymap")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("bench", help="run the benchmark harness")
+    p = sub.add_parser("bench", help="run the benchmark sweep (summary table on stderr)")
     p.add_argument("--scenes", help="directory of .pgm scenes (builtin scenes if omitted)")
     p.add_argument("--calib", help="calibration document (synthetic sensor if omitted)")
     p.add_argument("--seed", type=int, default=0, help="benchmark seed")

@@ -130,13 +130,9 @@ def center_crop(stream: SpikeStream, width: int, height: int) -> SpikeStream:
         hi = min(lo + step, stream.length)
         dense = stream.to_dense(lo, hi)[:, y0 : y0 + height, x0 : x0 + width]
         chunks.append(np.packbits(dense.reshape(hi - lo, -1), axis=1, bitorder="little"))
-    packed = np.concatenate(chunks, axis=0) if chunks else None
-    return SpikeStream.from_packed(
-        packed if packed is not None else np.zeros((0, frame_bytes(width, height)), np.uint8),
-        width,
-        height,
-        clock=stream.clock,
-    )
+    if not chunks:
+        chunks.append(np.zeros((0, frame_bytes(width, height)), np.uint8))
+    return SpikeStream.from_packed(np.concatenate(chunks), width, height, clock=stream.clock)
 
 
 # ----------------------------------------------------------------------
@@ -246,7 +242,10 @@ def write_calibration(calib: CalibrationData, path) -> None:
 def read_calibration(path) -> CalibrationData:
     """Read a calibration document written by write_calibration."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh]
+        try:
+            lines = [ln.strip() for ln in fh]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"calibration document is not ASCII: {exc}") from exc
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("empty calibration document")

@@ -33,14 +33,17 @@ from .wavelet import (
 )
 
 __all__ = [
+    "METHODS",
     "RestorerParams",
     "RestorerState",
     "RecurrentRestorer",
     "StepResult",
     "adaptive_transform",
     "ast_window",
+    "check_method",
     "correct_fixed_pattern",
     "fusion_mask",
+    "reconstruct",
     "refine",
     "restore_recurrent",
     "temporal_fuse",
@@ -439,3 +442,48 @@ def restore_recurrent(
         raise ValueError("ticks must be strictly increasing")
     restorer = RecurrentRestorer(stream, calib, params, **kwargs)
     return [restorer.step(t).output for t in ticks]
+
+
+# ----------------------------------------------------------------------
+# method dispatch
+
+METHODS = ("tfp", "tfi", "ast", "recurrent")
+
+
+def check_method(method: str, window: int | None) -> None:
+    """Reject an unknown method; tfp needs a positive window, the others take none."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method == "tfp":
+        if window is None or window < 1:
+            raise ValueError("tfp needs a positive window")
+    elif window is not None:
+        raise ValueError(f"{method} does not take a window")
+
+
+def reconstruct(
+    stream: SpikeStream,
+    method: str,
+    ticks,
+    calib: CalibrationData,
+    *,
+    window: int | None = None,
+) -> list[np.ndarray]:
+    """One image per tick, in tick order, unclamped, by the named method.
+
+    ast bootstraps its density map as RecurrentRestorer does and refreshes
+    it from tick to tick; recurrent is restore_recurrent with default params.
+    """
+    check_method(method, window)
+    if method == "tfp":
+        return [tfp(stream, t, window) for t in ticks]
+    elif method == "tfi":
+        return [tfi(stream, t) for t in ticks]
+    elif method == "ast":
+        boot = min(RestorerParams().bootstrap_window, stream.length)
+        state = RestorerState(density_map=stream.density_map(0, boot))
+        return [
+            correct_fixed_pattern(adaptive_transform(stream, t, state), calib)
+            for t in ticks
+        ]
+    return restore_recurrent(stream, calib, ticks=ticks)

@@ -38,11 +38,6 @@ _BLOCK_BUDGET = 4_000_000
 # cannot produce a nonpositive discharge time.
 _MIN_DISCHARGE = 1e-9
 
-# The arrival-process path scatters spikes into a dense (length, pixels)
-# boolean volume; above this element count it falls back to in-place
-# bit updates to bound memory.
-_DENSE_LIMIT = 1_500_000_000
-
 
 @dataclass(frozen=True)
 class SimulationRequest:
@@ -293,12 +288,8 @@ def _simulate_arrivals(
     ).astype(np.int64)
 
     row_bytes = frame_bytes(w, h)
-    use_dense = length * n_pixels <= _DENSE_LIMIT
-    if use_dense:
-        dense = np.zeros(length * n_pixels, dtype=bool)
-        out = None
-    else:
-        out = np.zeros((length, row_bytes), dtype=np.uint8)
+    out = np.zeros((length, row_bytes), dtype=np.uint8)
+    flat_out = out.reshape(-1)
 
     # Pixels are processed in batches bounded by total spike count so
     # the flat per-spike temporaries stay small.
@@ -355,21 +346,16 @@ def _simulate_arrivals(
         ticks += m0
         keep = ticks < length
         final_ticks = ticks[keep]
-        final_pix = (seg_id[keep] + lo).astype(np.int64)
+        final_pix = seg_id[keep]
+        final_pix += lo
 
-        if use_dense:
-            dense[final_ticks * n_pixels + final_pix] = True
-        else:
-            byte = final_pix >> 3
-            mask = np.left_shift(1, final_pix & 7).astype(np.uint8)
-            np.bitwise_or.at(out, (final_ticks, byte), mask)
-
-    if use_dense:
-        dense = dense.reshape(length, n_pixels)
-        out = np.empty((length, row_bytes), dtype=np.uint8)
-        step = max(1, _BLOCK_BUDGET // max(1, n_pixels))
-        for s in range(0, length, step):
-            out[s : s + step] = np.packbits(
-                dense[s : s + step], axis=1, bitorder="little"
-            )
+        # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3), in
+        # place: the index arrays are the largest temporaries here.
+        mask = final_pix.astype(np.uint8)
+        mask &= 7
+        np.left_shift(1, mask, out=mask)
+        final_pix >>= 3
+        final_ticks *= row_bytes
+        final_ticks += final_pix
+        np.bitwise_or.at(flat_out, final_ticks, mask)
     return out

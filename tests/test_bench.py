@@ -321,6 +321,9 @@ def test_run_benchmark_records_method_failure_and_continues():
         assert row.stages == ()
     for row in by_method["tfp(w=16)"]:
         assert row.error is None
+    summary = report.to_summary().splitlines()
+    assert summary[0] == "4 cells, 2 failed"
+    assert summary[-1].split() == ["recurrent", "all", "cells", "failed"]
 
 
 def test_run_benchmark_validation():

@@ -87,6 +87,17 @@ def test_corrupt_stream_is_a_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_ascii_calibration_is_a_data_error(tmp_path, capsys):
+    img = _write_pgm(tmp_path / "flat.pgm", np.full((16, 16), 51.0))
+    cal = tmp_path / "bad.cal"
+    cal.write_bytes(b"spikecal 1\nwidth \xff\n")
+    assert main([
+        "simulate", "--input", img, "--length", "8", "--calib", str(cal),
+        "--out", str(tmp_path / "s.spk"),
+    ]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # eval
 
@@ -268,12 +279,18 @@ def test_bench_runs_on_a_scene_directory(tmp_path, capsys):
         "bench", "--scenes", str(scenes), "--seed", "3",
         "--report", str(report_path),
     ]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().split("\n")
+    captured = capsys.readouterr()
+    lines = captured.out.strip().split("\n")
     assert lines[0].startswith("scene,illumination,method,parameter,psnr,ssim,runtime_s")
     # 2 regimes x (4 tfp windows + tfi + ast + recurrent)
     assert len(lines) == 1 + 14
     assert all(line.startswith("tiny,") for line in lines[1:])
+    summary = captured.err.strip().split("\n")
+    assert summary[0] == "14 cells, 0 failed"
+    assert summary[1].split() == ["method", "low", "dB", "high", "dB", "mean", "dB", "ssim"]
+    assert [row.split()[0] for row in summary[2:]] == [
+        "tfp(w=32)", "tfp(w=64)", "tfp(w=128)", "tfp(w=256)", "tfi", "ast", "recurrent",
+    ]
     assert report_path.read_text().startswith("spikebench 1\nseed 3\nscenes tiny\n")
 
 

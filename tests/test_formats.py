@@ -411,3 +411,6 @@ def test_calibration_reader_rejects_non_documents(tmp_path):
     path.write_text("")
     with pytest.raises(FormatError):
         read_calibration(path)
+    path.write_bytes(b"spikecal 1\nwidth \xff\n")
+    with pytest.raises(FormatError):
+        read_calibration(path)

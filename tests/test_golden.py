@@ -1,0 +1,138 @@
+"""Golden digests of whole outputs: simulated streams, CLI restorations, bench CSV.
+
+Each digest is the sha256 of an output produced with fixed seeds.  A
+change that is meant to keep outputs bit-identical must leave every
+digest here as it is; a change that moves a realisation on purpose
+updates the digest and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spikecam.bench import make_scenes, synthetic_calibration, theta_for_density
+from spikecam.calibration import make_calibration
+from spikecam.cli import main
+from spikecam.formats import write_calibration, write_image, write_stream
+from spikecam.noise import NoiseConfig, make_rng
+from spikecam.simulate import SimulationRequest, simulate
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# simulator arrival path
+
+
+def _calibrate_scenes() -> list[SimulationRequest]:
+    """Dark and two lit uniform scenes on a planted 64x64 sensor."""
+    rng = np.random.default_rng(7)
+    R = rng.uniform(0.9, 1.1, (64, 64))
+    L_d = rng.uniform(0.5, 20.0, (64, 64))
+    calib = make_calibration(L_d, R, reference_pixel=(32, 32))
+    cfg = NoiseConfig(enable_quantization=False, rng_seed=7)
+    return [
+        SimulationRequest(source=np.full((64, 64), level), length=2048, calib=calib, noise=cfg)
+        for level in (0.0, 30.0, 60.0)
+    ]
+
+
+def _band() -> SimulationRequest:
+    """A 62x101 band: not square, and its pixel count is not a multiple of 8."""
+    h, w = 62, 101
+    scene = 64.0 + 191.0 * np.linspace(0.0, 1.0, w)[None, :] * np.ones((h, 1))
+    return SimulationRequest(
+        source=scene,
+        theta=theta_for_density(scene, 0.25),
+        length=2048,
+        calib=synthetic_calibration(w, h, seed=7),
+        noise=NoiseConfig(enable_quantization=False, rng_seed=7),
+    )
+
+
+ARRIVAL_DIGESTS = {
+    "calibrate": [
+        "751a359ed33a2dc21cc808b403441bae4c84f801cbf20491c66d1091c335e4e7",
+        "2f724585cefacc9d718f3b4234d5e549a84cf4c7beb0de2850e4e1a18b4502be",
+        "4cc4f74d6e72574ac248d76fa1923339758770230a88e86eb21d85ba0847da1a",
+    ],
+    "band": ["7795660f99ee48ef4759055128d36230989d642b9b93a2b282e4e70e631419b8"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARRIVAL_DIGESTS))
+def test_arrival_path_streams_are_golden(case, monkeypatch):
+    def per_tick_path(*args):
+        raise AssertionError("request left the arrival path")
+
+    monkeypatch.setattr(sys.modules["spikecam.simulate"], "_simulate_ticks", per_tick_path)
+    requests = _calibrate_scenes() if case == "calibrate" else [_band()]
+    digests = [_sha(simulate(req, make_rng(11 + k)).bits.tobytes()) for k, req in enumerate(requests)]
+    assert digests == ARRIVAL_DIGESTS[case]
+
+
+# ----------------------------------------------------------------------
+# spikecam reconstruct
+
+
+def _noisy_stream_file(tmp_path, height: int, width: int) -> str:
+    scene = make_scenes(16)[0].image
+    source = np.resize(scene, (height, width))
+    req = SimulationRequest(
+        source=source, theta=theta_for_density(source, 0.1), length=256,
+        calib=synthetic_calibration(width, height, seed=3), noise=NoiseConfig.all(3),
+    )
+    path = tmp_path / "scene.spk"
+    write_stream(simulate(req), str(path))
+    write_calibration(synthetic_calibration(width, height, seed=3), str(tmp_path / "sensor.cal"))
+    return str(path)
+
+
+# tfp, tfi and ast run on a 20x28 sensor: none of them needs sides divisible by 8.
+RECONSTRUCT_CASES = {
+    "tfp": ((20, 28), ["--window", "48"], "da07fac6c7cdf0496c7586090aa8729f1d7a640dd0ca311bca763486ad945d96"),
+    "tfi": ((20, 28), [], "92f9eebe59bb29abfc16a8537754a4f6af5c6ec845ba269818a5c185f9e8d1d4"),
+    "ast": ((20, 28), ["--calib", "sensor.cal"], "c232d165dd06d53f421677907c10101d9b2f5b10fdaaa0c84b70306722d4643c"),
+    "rsir": ((24, 32), ["--calib", "sensor.cal"], "770d07d3853340c8612e6e3b324e9b4e8e70456e7fbeddd4bf17bf9b9666396f"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(RECONSTRUCT_CASES))
+def test_reconstruct_outputs_are_golden(method, tmp_path, capsys):
+    (height, width), extra, digest = RECONSTRUCT_CASES[method]
+    stream = _noisy_stream_file(tmp_path, height, width)
+    extra = [str(tmp_path / a) if a.endswith(".cal") else a for a in extra]
+    prefix = str(tmp_path / "out-")
+    ticks = (40, 128, 200)
+    assert main([
+        "reconstruct", stream, "--method", method, *extra,
+        "--at", ",".join(map(str, ticks)), "--out-prefix", prefix,
+    ]) == 0
+    data = b"".join(Path(f"{prefix}{t:06d}.pgm").read_bytes() for t in ticks)
+    assert _sha(data) == digest
+
+
+# ----------------------------------------------------------------------
+# spikecam bench
+
+
+BENCH_CSV_DIGEST = "1212c9866405d915189fc867b9929abd36db27ff1d418e7d389909169815b020"
+
+
+def test_bench_csv_is_golden(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    for scene in make_scenes(16)[:2]:
+        write_image(scene.image, str(scenes / f"{scene.name}.pgm"))
+    assert main(["bench", "--scenes", str(scenes), "--seed", "3"]) == 0
+    lines = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    col = lines[0].index("runtime_s")
+    csv = "\n".join(",".join(cells[:col] + cells[col + 1 :]) for cells in lines)
+    assert _sha(csv.encode("ascii")) == BENCH_CSV_DIGEST

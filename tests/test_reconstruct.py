@@ -10,6 +10,7 @@ from spikecam.reconstruct import (
     ast_window,
     correct_fixed_pattern,
     fusion_mask,
+    reconstruct,
     refine,
     restore_recurrent,
     temporal_fuse,
@@ -540,3 +541,18 @@ def test_restorer_fuse_smooths_shot_noise_over_steps():
     ticks = list(range(256, 2048, 256))
     errs = [float(np.abs(restorer.step(t).output - 25.0).mean()) for t in ticks]
     assert min(errs[-3:]) < errs[0]
+
+
+# ----------------------------------------------------------------------
+# method dispatch
+
+
+def test_reconstruct_checks_method_and_window():
+    stream = simulate_ideal(np.full((8, 8), 51.0), length=64)
+    calib = identity_calibration(8, 8)
+    with pytest.raises(ValueError, match="positive window"):
+        reconstruct(stream, "tfp", [10], calib)
+    with pytest.raises(ValueError, match="does not take a window"):
+        reconstruct(stream, "tfi", [10], calib, window=8)
+    with pytest.raises(ValueError, match="unknown method"):
+        reconstruct(stream, "rsir", [10], calib)
