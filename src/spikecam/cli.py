@@ -16,7 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .bench import DEFAULT_METHODS, Scene, make_scenes, run_benchmark, synthetic_calibration
-from .calibration import CalibrationError, build_calibration, identity_calibration
+from .calibration import (
+    CalibrationData,
+    CalibrationError,
+    build_calibration,
+    identity_calibration,
+)
 from .formats import (
     FormatError,
     center_crop,
@@ -116,11 +121,13 @@ def _load_stream(path: str, raw: str | None, msb_first: bool) -> SpikeStream:
     return stream
 
 
-def _load_calibration(path: str | None, stream: SpikeStream):
-    if path is None:
-        return identity_calibration(stream.width, stream.height, clock=stream.clock)
+def _read_calibration(path: str, shape: tuple[int, int]) -> CalibrationData:
     calib = read_calibration(path)
-    calib.require_shape((stream.height, stream.width))
+    try:
+        calib.require_shape(shape)
+    except ValueError as exc:
+        # Two input files that disagree are a data error, not a usage error.
+        raise FormatError(str(exc)) from exc
     return calib
 
 
@@ -138,7 +145,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if not frames:
             raise FormatError(f"no .pgm frames found in {args.sequence}")
         source = np.stack([read_image(f) for f in frames])
-    calib = read_calibration(args.calib) if args.calib else None
+    calib = _read_calibration(args.calib, source.shape[-2:]) if args.calib else None
     noise = _parse_noise(args.noise, args.seed)
     req = SimulationRequest(
         source=source, theta=args.theta, length=args.length, calib=calib, noise=noise
@@ -170,7 +177,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     stream = _load_stream(args.stream, args.raw, args.msb_first)
     ticks = _parse_ticks(args.at)
-    calib = _load_calibration(args.calib, stream)
+    if args.calib:
+        calib = _read_calibration(args.calib, (stream.height, stream.width))
+    else:
+        calib = identity_calibration(stream.width, stream.height, clock=stream.clock)
     method = "recurrent" if args.method == "rsir" else args.method
     images = reconstruct(stream, method, ticks, calib, window=args.window)
     for t, image in zip(ticks, images):
@@ -197,7 +207,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scenes = make_scenes()
     height, width = scenes[0].image.shape
     if args.calib:
-        calib = read_calibration(args.calib)
+        calib = _read_calibration(args.calib, (height, width))
     else:
         calib = synthetic_calibration(width, height, seed=args.seed)
     report = run_benchmark(scenes, calib, DEFAULT_METHODS, args.seed)

@@ -188,17 +188,7 @@ def adaptive_transform(
     np.clip(a, 0, stream.length, out=a)
     np.clip(b, 0, stream.length, out=b)
 
-    span_lo = int(a.min())
-    span_hi = int(b.max())
-    n_pixels = stream.height * stream.width
-    dense = stream.to_dense(span_lo, span_hi).reshape(span_hi - span_lo, n_pixels)
-    prefix = np.zeros((span_hi - span_lo + 1, n_pixels), dtype=np.int64)
-    np.cumsum(dense, axis=0, out=prefix[1:])
-    cols = np.arange(n_pixels)
-    counts = prefix[b.ravel() - span_lo, cols] - prefix[a.ravel() - span_lo, cols]
-    width = (b - a).ravel()
-    rate = counts / width
-    rate = rate.reshape(density.shape)
+    rate = stream.window_counts(a, b) / (b - a)
     state.density_map = 0.5 * density + 0.5 * rate
     return _FULL_SCALE * rate
 

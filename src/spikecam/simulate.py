@@ -238,7 +238,8 @@ def _simulate_ticks(
             fires[0] = wells[0] > 0
             np.not_equal(wells[1:], wells[:-1], out=fires[1:])
             acc = csum[-1] - threshold * wells[-1]
-            assert acc.min() >= 0 and acc.max() < threshold
+            if not (acc.min() >= 0 and acc.max() < threshold):
+                raise RuntimeError("integrator charge left outside [0, threshold)")
         else:
             fires = np.empty((b, n_pixels), dtype=bool)
             for i in range(b):
@@ -246,7 +247,8 @@ def _simulate_ticks(
                 fired = acc >= threshold
                 fires[i] = fired
                 acc[fired] -= threshold
-            assert acc.min() >= 0
+            if not acc.min() >= 0:
+                raise RuntimeError("integrator charge went negative")
 
         out[start:stop] = np.packbits(fires, axis=1, bitorder="little")
 

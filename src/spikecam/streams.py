@@ -4,8 +4,9 @@ A spike camera reports, for every pixel and every clock tick, a single bit:
 whether the integrate-and-fire circuit crossed its threshold during that
 tick.  Streams are therefore dense H x W x T bit volumes.  They are stored
 bit-packed (8 pixels per byte, least-significant bit first, rows top to
-bottom) so a full sensor dump stays small; most consumers unpack only the
-time slices they need.
+bottom) so a full sensor dump stays small.  Consumers count spikes in the
+packed form (count_map, window_counts) and unpack only the time slices
+they scan tick by tick (to_dense, spike_edge_map).
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ class ClockParams:
             raise ValueError(f"tick_seconds must be positive and finite, got {self.tick_seconds}")
         if self.max_intensity != 255.0:
             raise ValueError(f"max_intensity is fixed at 255, got {self.max_intensity}")
+
+
+# (shift, mask) of the three delta swaps that transpose an 8x8 bit matrix
+# held in a uint64, row r in byte r and column c in bit c of it.
+_TRANSPOSE_SWAPS = (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+)
 
 
 def frame_bytes(width: int, height: int) -> int:
@@ -132,7 +142,7 @@ class SpikeStream:
         raw = np.unpackbits(
             self.bits[t_start:t_stop], axis=1, bitorder="little", count=self.width * self.height
         )
-        return raw.reshape(t_stop - t_start, self.height, self.width).astype(bool)
+        return raw.view(bool).reshape(t_stop - t_start, self.height, self.width)
 
     def get_spike(self, x: int, y: int, t: int) -> bool:
         if not (0 <= x < self.width and 0 <= y < self.height and 0 <= t < self.length):
@@ -177,6 +187,69 @@ class SpikeStream:
         for k in range(8):
             count[k::8] = ((window >> k) & 1).sum(axis=0, dtype=np.int64)
         return count[:n_pixels].reshape(self.height, self.width)
+
+    def window_counts(self, t_start: np.ndarray, t_stop: np.ndarray) -> np.ndarray:
+        """Per-pixel spike counts over per-pixel tick ranges [t_start, t_stop).
+
+        t_start and t_stop are (height, width) integer arrays with
+        0 <= t_start <= t_stop <= length.  Returns (height, width) int64.
+        """
+        shape = (self.height, self.width)
+        lo = np.asarray(t_start, dtype=np.int64)
+        hi = np.asarray(t_stop, dtype=np.int64)
+        if lo.shape != shape or hi.shape != shape:
+            raise ValueError(
+                f"tick range maps have shapes {lo.shape} and {hi.shape}, expected {shape}"
+            )
+        if (lo < 0).any() or (hi < lo).any() or (hi > self.length).any():
+            raise IndexError(
+                f"tick ranges must satisfy 0 <= start <= stop <= {self.length}"
+            )
+        base = int(lo.min())
+        top = int(hi.max())
+        full, rest = divmod(top - base, 8)
+        # A range end r reads group (r - base) // 8, one past the span when
+        # the span is a whole number of groups; a spare zero group covers it.
+        groups = full + 1
+        nbytes = self.bits.shape[1]
+        ncols = nbytes * 8
+        # cube[g, j] is an 8x8 bit matrix, one uint64 word: byte i holds
+        # tick 8g + i of packed byte j, bit k pixel 8j + k.  Three delta
+        # swaps transpose it, so byte k holds that pixel's eight ticks.
+        cube = np.zeros((groups, nbytes, 8), dtype=np.uint8)
+        cube[:full] = self.bits[base : base + 8 * full].reshape(full, 8, nbytes).transpose(0, 2, 1)
+        cube[full, :, :rest] = self.bits[base + 8 * full : top].T
+        words = cube.view("<u8")[..., 0]
+        tmp = np.empty_like(words)
+        for shift, mask in _TRANSPOSE_SWAPS:
+            np.right_shift(words, shift, out=tmp)
+            tmp ^= words
+            tmp &= mask
+            words ^= tmp
+            tmp <<= shift
+            words ^= tmp
+        ticks = cube.reshape(groups, ncols)
+        # Inclusive prefix over groups.  Adding row by row is several times
+        # faster than a cumulative sum along axis 0.
+        prefix = np.empty((groups, ncols), dtype=np.min_scalar_type(8 * groups))
+        np.bitwise_count(ticks, out=prefix)
+        for g in range(1, groups):
+            prefix[g] += prefix[g - 1]
+
+        cols = np.arange(self.height * self.width)
+
+        def before(r: np.ndarray) -> np.ndarray:
+            # Spikes in [base, r): the prefix through r's group less the
+            # bits of that group at ticks r and later.
+            rel = r.reshape(-1) - base
+            idx = rel >> 3
+            idx *= ncols
+            idx += cols
+            edge = ticks.reshape(-1)[idx]
+            edge >>= (rel & 7).astype(np.uint8)
+            return prefix.reshape(-1)[idx] - np.bitwise_count(edge)
+
+        return (before(hi) - before(lo)).astype(np.int64).reshape(shape)
 
     def spike_edge_map(
         self, t_start: int, t_stop: int, from_end: bool = False, n: int = 1

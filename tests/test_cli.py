@@ -13,7 +13,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spikecam.cli import main
-from spikecam.formats import read_calibration, read_image, write_image, write_stream
+from spikecam.calibration import make_calibration
+from spikecam.formats import (
+    read_calibration,
+    read_image,
+    write_calibration,
+    write_image,
+    write_stream,
+)
 from spikecam.noise import NoiseConfig
 from spikecam.simulate import SimulationRequest, simulate
 from spikecam.streams import SpikeStream
@@ -96,6 +103,48 @@ def test_non_ascii_calibration_is_a_data_error(tmp_path, capsys):
         "--out", str(tmp_path / "s.spk"),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+
+def _calibration_8x8(tmp_path):
+    path = tmp_path / "small.cal"
+    write_calibration(make_calibration(np.zeros((8, 8)), np.ones((8, 8))), path)
+    return str(path)
+
+
+def _assert_shape_mismatch_is_a_data_error(argv, capsys):
+    assert main(argv) == 2
+    assert (
+        "error: calibration shape (8, 8) does not match data shape (16, 16)"
+        in capsys.readouterr().err
+    )
+
+
+def test_simulate_calibration_shape_mismatch_is_a_data_error(tmp_path, capsys):
+    img = _write_pgm(tmp_path / "flat.pgm", np.full((16, 16), 51.0))
+    _assert_shape_mismatch_is_a_data_error([
+        "simulate", "--input", img, "--length", "8",
+        "--calib", _calibration_8x8(tmp_path), "--out", str(tmp_path / "s.spk"),
+    ], capsys)
+
+
+def test_reconstruct_calibration_shape_mismatch_is_a_data_error(tmp_path, capsys):
+    stream = _periodic_stream(4, 32)
+    path = tmp_path / "s.spk"
+    write_stream(stream, path)
+    _assert_shape_mismatch_is_a_data_error([
+        "reconstruct", str(path), "--method", "ast", "--at", "8",
+        "--calib", _calibration_8x8(tmp_path), "--out-prefix", str(tmp_path / "o-"),
+    ], capsys)
+
+
+def test_bench_calibration_shape_mismatch_is_a_data_error(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    _write_pgm(scenes / "flat.pgm", np.full((16, 16), 51.0))
+    _assert_shape_mismatch_is_a_data_error([
+        "bench", "--scenes", str(scenes), "--calib", _calibration_8x8(tmp_path),
+    ], capsys)
 
 
 # ----------------------------------------------------------------------

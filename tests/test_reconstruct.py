@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,78 @@ def test_adaptive_transform_validates_state_shape():
     state = RestorerState(density_map=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         adaptive_transform(stream, 16, state)
+
+
+
+def reference_adaptive_transform(stream, t, state, *, causal=False, window_override=None):
+    """The prefix-sum AST: unpack the span, cumulative-sum it, read two rows.
+
+    Kept as the oracle that adaptive_transform must match bit for bit.
+    """
+    density = np.asarray(state.density_map, dtype=np.float64)
+    if window_override is not None:
+        win = np.full(density.shape, int(window_override), dtype=np.int64)
+    else:
+        win = ast_window(density)
+    if causal:
+        a = t + 1 - win
+        b = np.full_like(win, t + 1)
+    else:
+        a = t - win // 2
+        b = a + win
+    np.clip(a, 0, stream.length, out=a)
+    np.clip(b, 0, stream.length, out=b)
+    span_lo = int(a.min())
+    span_hi = int(b.max())
+    n_pixels = stream.height * stream.width
+    dense = stream.to_dense(span_lo, span_hi).reshape(span_hi - span_lo, n_pixels)
+    prefix = np.zeros((span_hi - span_lo + 1, n_pixels), dtype=np.int64)
+    np.cumsum(dense, axis=0, out=prefix[1:])
+    cols = np.arange(n_pixels)
+    counts = prefix[b.ravel() - span_lo, cols] - prefix[a.ravel() - span_lo, cols]
+    rate = (counts / (b - a).ravel()).reshape(density.shape)
+    state.density_map = 0.5 * density + 0.5 * rate
+    return 255.0 * rate
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 63, 64, 65, 255, 256, 257, 300, 511, 700])
+def test_adaptive_transform_matches_prefix_sum_reference(length):
+    rng = np.random.default_rng(length)
+    for height, width in ((1, 1), (3, 5), (7, 9), (4, 6), (11, 13)):
+        dense = rng.random((length, height, width)) < rng.uniform(0.02, 0.6)
+        stream = SpikeStream.from_dense(dense)
+        density = rng.random((height, width)) * rng.choice([0.05, 0.3, 1.0])
+        ticks = sorted({0, length - 1, int(rng.integers(length))})
+        for causal in (False, True):
+            for override in (None, 1, length + 37):
+                got = RestorerState(density_map=density.copy())
+                want = RestorerState(density_map=density.copy())
+                for t in ticks:
+                    out = adaptive_transform(
+                        stream, t, got, causal=causal, window_override=override
+                    )
+                    ref = reference_adaptive_transform(
+                        stream, t, want, causal=causal, window_override=override
+                    )
+                    case = (height, width, t, causal, override)
+                    assert np.array_equal(out, ref), case
+                    assert np.array_equal(got.density_map, want.density_map), case
+
+
+def test_adaptive_transform_memory_stays_bounded_at_sensor_size():
+    # Zero density gives every pixel the widest window, 256 ticks.
+    rng = np.random.default_rng(0)
+    height, width = 248, 400
+    bits = rng.integers(0, 256, size=(512, height * width // 8), dtype=np.uint8)
+    stream = SpikeStream.from_packed(bits, width, height)
+    state = RestorerState(density_map=np.zeros((height, width)))
+    tracemalloc.start()
+    try:
+        adaptive_transform(stream, 256, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ----------------------------------------------------------------------

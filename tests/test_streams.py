@@ -213,6 +213,30 @@ def test_count_map_subrange():
     np.testing.assert_array_equal(stream.count_map(3, 11), dense[3:11].sum(axis=0))
 
 
+@given(volumes, st.integers(0, 2**32 - 1))
+def test_window_counts_match_dense_sums(dense, seed):
+    length, height, width = dense.shape
+    rng = np.random.default_rng(seed)
+    ends = np.sort(rng.integers(0, length + 1, size=(2, height, width)), axis=0)
+    got = SpikeStream.from_dense(dense).window_counts(ends[0], ends[1])
+    want = [
+        [dense[ends[0, y, x] : ends[1, y, x], y, x].sum() for x in range(width)]
+        for y in range(height)
+    ]
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+
+
+def test_window_counts_validation():
+    stream = SpikeStream.from_dense(np.ones((16, 2, 3), dtype=bool))
+    zeros = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError):
+        stream.window_counts(np.zeros((3, 2), dtype=np.int64), zeros)
+    for lo, hi in ((zeros - 1, zeros), (zeros + 2, zeros + 1), (zeros, zeros + 17)):
+        with pytest.raises(IndexError):
+            stream.window_counts(lo, hi)
+
+
 def test_density_map_matches_scalar_density():
     rng = np.random.default_rng(3)
     dense = rng.random((30, 4, 6)) < 0.5
