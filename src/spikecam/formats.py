@@ -66,14 +66,17 @@ def read_stream(path) -> SpikeStream:
         raise FormatError(f"invalid sensor dimensions {width}x{height}")
     if tick_ns == 0:
         raise FormatError("tick_nanoseconds must be positive")
-    payload = raw[_SPIKE_HEADER.size :]
+    payload = len(raw) - _SPIKE_HEADER.size
     expected = length * frame_bytes(width, height)
-    if len(payload) != expected:
+    if payload != expected:
         raise FormatError(
-            f"payload is {len(payload)} bytes, header implies {expected} "
+            f"payload is {payload} bytes, header implies {expected} "
             f"({width}x{height}x{length})"
         )
-    bits = np.frombuffer(payload, dtype=np.uint8).reshape(length, frame_bytes(width, height))
+    # A view into the file's bytes: SpikeStream keeps it without a copy.
+    bits = np.frombuffer(raw, dtype=np.uint8, offset=_SPIKE_HEADER.size).reshape(
+        length, frame_bytes(width, height)
+    )
     return SpikeStream.from_packed(
         bits, width, height, clock=ClockParams(tick_seconds=tick_ns / 1e9)
     )

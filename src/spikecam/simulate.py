@@ -10,11 +10,19 @@ times.
 The per-tick recurrence is vectorized in fixed-size tick blocks via a
 cumulative-sum threshold-crossing rule that is bit-identical to the
 sequential loop whenever no single tick deposits more than one full
-well.  For long static scenes with shot noise on and quantization off,
-the stream is instead constructed directly from the photon arrival
-process (one gamma variate per output spike rather than one Poisson
-variate per tick); the construction samples the same distribution over
-streams and is dramatically faster at calibration-scale lengths.
+well.  A block's deposits are drawn in chunks of at most 64 ticks into
+one float64 buffer that is reused for every block, and the cumulative
+charge and whole-well counts are computed in place in it; each noise
+source keeps its own generator and draws tick-major, so the chunking
+does not change any variate.  The working set is that buffer (at most
+~4M pixel-ticks, 32 MB), a bool fire mask an eighth of its size, one
+chunk's temporaries and the packed output.
+
+For long static scenes with shot noise on and quantization off, the
+stream is instead constructed directly from the photon arrival process
+(one gamma variate per output spike rather than one Poisson variate per
+tick); the construction samples the same distribution over streams and
+is dramatically faster at calibration-scale lengths.
 """
 
 from __future__ import annotations
@@ -33,6 +41,9 @@ __all__ = ["SimulationRequest", "simulate", "simulate_ideal"]
 # worth of temporaries regardless of sensor size.
 _BLOCK_TICKS = 1024
 _BLOCK_BUDGET = 4_000_000
+# Ticks drawn into a block per step, so each draw's temporaries stay a
+# small fraction of the block.
+_CHUNK_TICKS = 64
 
 # Discharge times are floored here after jitter so a very bright pixel
 # cannot produce a nonpositive discharge time.
@@ -168,89 +179,80 @@ def _simulate_ticks(
     threshold = calib.clock.max_intensity
     length = req.length
 
-    gain, quantum = _effective_gain(calib, cfg)
+    gain, _ = _effective_gain(calib, cfg)
     dark_rate = calib.L_d.ravel()
     lift = cfg.enable_dark or cfg.enable_nonuniformity
     merge_poisson = cfg.enable_shot and cfg.enable_dark
 
     if req.is_static:
         static_signal = req.theta * req.source.ravel()
-        if merge_poisson:
-            static_rate = static_signal + dark_rate
     else:
         frames = req.source.reshape(req.source.shape[0], n_pixels)
 
     block = max(1, min(_BLOCK_TICKS, _BLOCK_BUDGET // max(1, n_pixels)))
+    # One block of per-tick deposits, reused: it becomes the block's
+    # cumulative charge and then its whole-well counts in place.
+    buf = np.empty((min(block, length), n_pixels))
+    fires = np.empty(buf.shape, dtype=bool)
     acc = np.zeros(n_pixels)
     out = np.empty((length, frame_bytes(w, h)), dtype=np.uint8)
 
     for start in range(0, length, block):
         stop = min(start + block, length)
         b = stop - start
+        deposit = buf[:b]
 
-        # Per-tick deposited intensity for the block, shape (b, pixels).
-        if merge_poisson:
+        # Fill the block a chunk of ticks at a time; each generator still
+        # draws its variates tick-major, so chunking does not change them.
+        for lo in range(start, stop, _CHUNK_TICKS):
+            hi = min(lo + _CHUNK_TICKS, stop)
+            rows = deposit[lo - start : hi - start]
+            shape = rows.shape
             if req.is_static:
-                counts = rng_shot.poisson(np.broadcast_to(static_rate, (b, n_pixels)))
+                signal = np.broadcast_to(static_signal, shape)
             else:
-                counts = rng_shot.poisson(
-                    req.theta * frames[start:stop] + dark_rate
-                )
-            deposit = gain * counts
-        else:
-            if cfg.enable_shot:
-                if req.is_static:
-                    signal = rng_shot.poisson(
-                        np.broadcast_to(static_signal, (b, n_pixels))
-                    ).astype(np.float64)
-                else:
-                    signal = rng_shot.poisson(req.theta * frames[start:stop]).astype(
-                        np.float64
-                    )
+                signal = req.theta * frames[lo:hi]
+            if merge_poisson:
+                np.multiply(gain, rng_shot.poisson(signal + dark_rate), out=rows)
             else:
-                if req.is_static:
-                    signal = np.broadcast_to(static_signal, (b, n_pixels))
+                if cfg.enable_shot:
+                    signal = rng_shot.poisson(signal)
+                if lift:
+                    if cfg.enable_dark:
+                        dark = rng_dark.poisson(np.broadcast_to(dark_rate, shape))
+                    else:
+                        dark = dark_rate
+                    np.multiply(gain, signal + dark, out=rows)
                 else:
-                    signal = req.theta * frames[start:stop]
-            if lift:
-                if cfg.enable_dark:
-                    dark = rng_dark.poisson(np.broadcast_to(dark_rate, (b, n_pixels)))
-                else:
-                    dark = dark_rate
-                deposit = gain * (signal + dark)
-            else:
-                deposit = np.asarray(signal, dtype=np.float64)
-
-        if cfg.enable_quantization:
-            with np.errstate(divide="ignore"):
-                discharge = threshold / deposit
-            discharge += rng_quant.uniform(-1.0, 1.0, size=(b, n_pixels))
-            np.maximum(discharge, _MIN_DISCHARGE, out=discharge)
-            deposit = threshold / discharge
+                    rows[...] = signal
+            if cfg.enable_quantization:
+                with np.errstate(divide="ignore"):
+                    discharge = threshold / rows
+                discharge += rng_quant.uniform(-1.0, 1.0, size=shape)
+                np.maximum(discharge, _MIN_DISCHARGE, out=discharge)
+                np.divide(threshold, discharge, out=rows)
 
         if acc.max() < threshold and deposit.max() <= threshold:
             # Cumulative threshold crossings reproduce the sequential
             # rule exactly when no tick overfills the well.
-            csum = np.cumsum(deposit, axis=0)
+            csum = np.cumsum(deposit, axis=0, out=deposit)
             csum += acc
-            wells = np.floor_divide(csum, threshold)
-            fires = np.empty((b, n_pixels), dtype=bool)
-            fires[0] = wells[0] > 0
-            np.not_equal(wells[1:], wells[:-1], out=fires[1:])
-            acc = csum[-1] - threshold * wells[-1]
+            last = csum[-1].copy()
+            wells = np.floor_divide(csum, threshold, out=csum)
+            np.greater(wells[0], 0, out=fires[0])
+            np.not_equal(wells[1:], wells[:-1], out=fires[1:b])
+            acc = last - threshold * wells[-1]
             if not (acc.min() >= 0 and acc.max() < threshold):
                 raise RuntimeError("integrator charge left outside [0, threshold)")
         else:
-            fires = np.empty((b, n_pixels), dtype=bool)
             for i in range(b):
                 acc += deposit[i]
-                fired = acc >= threshold
-                fires[i] = fired
+                fired = np.greater_equal(acc, threshold, out=fires[i])
                 acc[fired] -= threshold
             if not acc.min() >= 0:
                 raise RuntimeError("integrator charge went negative")
 
-        out[start:stop] = np.packbits(fires, axis=1, bitorder="little")
+        out[start:stop] = np.packbits(fires[:b], axis=1, bitorder="little")
 
     return out
 

@@ -44,6 +44,15 @@ _TRANSPOSE_SWAPS = (
 )
 
 
+def _in_bytes(array: np.ndarray) -> bool:
+    """True when the array's memory is an immutable bytes object."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return isinstance(array, bytes)
+
+
 def frame_bytes(width: int, height: int) -> int:
     """Packed size of one binary frame in bytes."""
     return (width * height + 7) // 8
@@ -57,6 +66,8 @@ class SpikeStream:
     Within a frame, bit index y*width + x holds pixel (x, y); bit 0 of each
     byte is the lowest pixel index.  Construct with from_dense() or
     from_packed(); arrays are copied and frozen so streams can be shared.
+    A payload that lives in an immutable bytes object with its padding
+    bits clear, as read_stream makes, is used as is.
     """
 
     width: int
@@ -71,6 +82,9 @@ class SpikeStream:
         if self.length < 0:
             raise ValueError(f"stream length must be nonnegative, got {self.length}")
         nbytes = frame_bytes(self.width, self.height)
+        # the last byte's pixel bits; padding above them must read 0 so
+        # equality and density are well defined
+        used = (1 << (self.width * self.height - 8 * (nbytes - 1))) - 1
         if self.bits is None:
             bits = np.zeros((self.length, nbytes), dtype=np.uint8)
         else:
@@ -79,11 +93,9 @@ class SpikeStream:
                 raise ValueError(
                     f"packed payload has shape {bits.shape}, expected {(self.length, nbytes)}"
                 )
-            bits = bits.copy()
-        # mask padding bits in the last byte so equality and density are well defined
-        used = self.width * self.height - 8 * (nbytes - 1)
-        if 0 < used < 8 and self.length > 0:
-            bits[:, -1] &= (1 << used) - 1
+            if not _in_bytes(bits) or (bits[:, -1] > used).any():
+                bits = bits.copy()
+                bits[:, -1] &= used
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from spikecam import bench
 from spikecam.bench import (
     BenchmarkReport,
     BenchRow,
@@ -338,6 +341,71 @@ def test_run_benchmark_validation():
         run_benchmark([scene], calib, methods, seed=0, length=64, eval_tick=64)
     with pytest.raises(ValueError):
         run_benchmark([scene], calib, methods, seed=0, length=64, eval_tick=-1)
+
+
+def _csv_without_runtime(report: BenchmarkReport) -> list[list[str]]:
+    lines = [line.split(",") for line in report.to_csv().splitlines()]
+    col = lines[0].index("runtime_s")
+    return [cells[:col] + cells[col + 1 :] for cells in lines]
+
+
+def _concurrent_sweep_args():
+    scenes = make_scenes(16)[:3]
+    calib = synthetic_calibration(16, 16, seed=3)
+    methods = [MethodSpec("tfp", window=16), MethodSpec("tfi"), MethodSpec("recurrent", steps=2)]
+    return (scenes, calib, methods, 7), dict(length=192, eval_tick=128)
+
+
+def test_run_benchmark_keeps_cell_order_when_the_first_cell_finishes_last(monkeypatch):
+    args, kwargs = _concurrent_sweep_args()
+    scenes = args[0]
+    undelayed = run_benchmark(*args, **kwargs)
+
+    first_theta = theta_for_density(scenes[0].image, bench.LOW_DENSITY_TARGET)
+    others = 2 * len(scenes) - 1
+    lock = threading.Lock()
+    others_done = threading.Event()
+    finished = []
+    real_simulate = bench.simulate
+
+    def simulate(req, rng):
+        first = np.array_equal(req.source, scenes[0].image) and req.theta == first_theta
+        if first:
+            # Hold the first cell back until every other cell has simulated.
+            others_done.wait(timeout=30)
+        stream = real_simulate(req, rng)
+        with lock:
+            finished.append(first)
+            if len(finished) == others:
+                others_done.set()
+        return stream
+
+    monkeypatch.setattr(bench, "simulate", simulate)
+    report = run_benchmark(*args, **kwargs)
+    if len(os.sched_getaffinity(0)) > 1:
+        assert finished[-1] and not any(finished[:-1])
+    expected = [
+        (scene.name, illum, spec.label)
+        for scene in scenes
+        for illum in ("low", "high")
+        for spec in args[2]
+    ]
+    assert [(r.scene, r.illumination, r.method) for r in report.rows] == expected
+    assert _csv_without_runtime(report) == _csv_without_runtime(undelayed)
+
+
+def test_run_benchmark_propagates_a_simulation_failure(monkeypatch):
+    args, kwargs = _concurrent_sweep_args()
+    real_simulate = bench.simulate
+
+    def simulate(req, rng):
+        if np.array_equal(req.source, args[0][1].image):
+            raise RuntimeError("sensor exploded")
+        return real_simulate(req, rng)
+
+    monkeypatch.setattr(bench, "simulate", simulate)
+    with pytest.raises(RuntimeError, match="sensor exploded"):
+        run_benchmark(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------

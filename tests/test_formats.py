@@ -1,8 +1,12 @@
 import base64
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spikecam.calibration import make_calibration
 from spikecam.formats import (
@@ -133,6 +137,37 @@ def test_read_rejects_truncated_and_padded_files(tmp_path):
     path.write_bytes(raw + b"\x00")
     with pytest.raises(FormatError):
         read_stream(path)
+
+
+def test_read_stream_holds_about_one_copy_of_the_file(tmp_path):
+    stream = random_stream(7, 96, 96, 4096)
+    path = tmp_path / "big.spk"
+    write_stream(stream, path)
+    size = path.stat().st_size
+    assert size >= 4 * 2**20
+    del stream
+    tracemalloc.start()
+    try:
+        back = read_stream(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * size
+    assert not back.bits.flags.writeable
+    with pytest.raises(ValueError):
+        back.bits[0, 0] = 1
+
+
+def test_read_stream_clears_padding_bits_set_in_the_file(tmp_path):
+    # 3x3 pixels use bit 0 of each frame's second byte; the rest is padding
+    path = tmp_path / "x.spk"
+    write_stream(SpikeStream(width=3, height=3, length=2), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 0xFF
+    path.write_bytes(bytes(raw))
+    back = read_stream(path)
+    assert back.bits[:, -1].tolist() == [0, 1]
+    assert back.count_map(0, 2).sum() == 1
 
 
 # ----------------------------------------------------------------------
@@ -414,3 +449,47 @@ def test_calibration_reader_rejects_non_documents(tmp_path):
     path.write_bytes(b"spikecal 1\nwidth \xff\n")
     with pytest.raises(FormatError):
         read_calibration(path)
+
+
+# ----------------------------------------------------------------------
+# fuzzed files: truncated or bit-flipped inputs only ever raise FormatError
+
+
+@pytest.fixture(scope="module")
+def damaged_dir(tmp_path_factory):
+    """Valid files of every format, plus room for damaged copies of them."""
+    root = tmp_path_factory.mktemp("damaged")
+    write_stream(random_stream(9, 5, 3, 6), root / "ok.spk")
+    write_calibration(sample_calibration(), root / "ok.cal")
+    image = np.arange(12.0).reshape(3, 4) * 20.0
+    write_image(image, root / "ok8.pgm")
+    write_image(image, root / "ok16.pgm", bit_depth=16)
+    return root
+
+
+_READERS = {
+    "ok.spk": read_stream,
+    "ok.cal": read_calibration,
+    "ok8.pgm": read_image,
+    "ok16.pgm": read_image,
+}
+_DAMAGED = itertools.count()
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_readers_raise_only_format_error_on_damaged_files(name, data, damaged_dir):
+    raw = bytearray((damaged_dir / name).read_bytes())
+    flips = data.draw(st.lists(st.integers(0, 8 * len(raw) - 1), max_size=8), label="flips")
+    for bit in flips:
+        raw[bit // 8] ^= 1 << (bit % 8)
+    keep = data.draw(st.integers(0, len(raw)), label="keep")
+    # A new file per example: overwriting one in place is far slower on
+    # file systems that discard freed blocks.
+    path = damaged_dir / f"{next(_DAMAGED)}-{name}"
+    path.write_bytes(bytes(raw[:keep]))
+    try:
+        _READERS[name](path)
+    except FormatError:
+        pass

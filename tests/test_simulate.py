@@ -1,9 +1,18 @@
+import importlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spikecam.bench import synthetic_calibration
 from spikecam.calibration import identity_calibration, make_calibration
-from spikecam.noise import NoiseConfig
+from spikecam.noise import NoiseConfig, make_rng, split_rng
 from spikecam.simulate import SimulationRequest, simulate, simulate_ideal
+from spikecam.streams import frame_bytes
+
+# The package's simulate() function shadows the submodule's name.
+sim_mod = importlib.import_module("spikecam.simulate")
 
 
 def spike_ticks(stream, x=0, y=0):
@@ -273,3 +282,186 @@ def test_explicit_generator_overrides_config_seed():
     assert a == simulate(
         SimulationRequest(source=img, length=200, noise=NoiseConfig.all(42))
     )
+
+
+# ----------------------------------------------------------------------
+# per-tick path against a whole-block reference
+
+
+def reference_simulate_ticks(req, calib, rng):
+    """The per-tick path drawn and summed one whole block at a time.
+
+    Kept as the oracle for the chunked, one-buffer `_simulate_ticks`:
+    every block's variates are drawn as one (ticks, pixels) array, and
+    the cumulative charge, whole-well counts and fires are fresh arrays.
+    """
+    rng_shot, rng_dark, rng_quant = split_rng(rng, 3)
+    cfg = req.noise
+    h, w = req.frame_shape
+    n_pixels = h * w
+    threshold = calib.clock.max_intensity
+    length = req.length
+
+    gain, quantum = sim_mod._effective_gain(calib, cfg)
+    dark_rate = calib.L_d.ravel()
+    lift = cfg.enable_dark or cfg.enable_nonuniformity
+    merge_poisson = cfg.enable_shot and cfg.enable_dark
+
+    if req.is_static:
+        static_signal = req.theta * req.source.ravel()
+        if merge_poisson:
+            static_rate = static_signal + dark_rate
+    else:
+        frames = req.source.reshape(req.source.shape[0], n_pixels)
+
+    block = max(1, min(sim_mod._BLOCK_TICKS, sim_mod._BLOCK_BUDGET // max(1, n_pixels)))
+    acc = np.zeros(n_pixels)
+    out = np.empty((length, frame_bytes(w, h)), dtype=np.uint8)
+
+    for start in range(0, length, block):
+        stop = min(start + block, length)
+        b = stop - start
+        if merge_poisson:
+            if req.is_static:
+                counts = rng_shot.poisson(np.broadcast_to(static_rate, (b, n_pixels)))
+            else:
+                counts = rng_shot.poisson(req.theta * frames[start:stop] + dark_rate)
+            deposit = gain * counts
+        else:
+            if cfg.enable_shot:
+                if req.is_static:
+                    signal = rng_shot.poisson(
+                        np.broadcast_to(static_signal, (b, n_pixels))
+                    ).astype(np.float64)
+                else:
+                    signal = rng_shot.poisson(req.theta * frames[start:stop]).astype(
+                        np.float64
+                    )
+            else:
+                if req.is_static:
+                    signal = np.broadcast_to(static_signal, (b, n_pixels))
+                else:
+                    signal = req.theta * frames[start:stop]
+            if lift:
+                if cfg.enable_dark:
+                    dark = rng_dark.poisson(np.broadcast_to(dark_rate, (b, n_pixels)))
+                else:
+                    dark = dark_rate
+                deposit = gain * (signal + dark)
+            else:
+                deposit = np.asarray(signal, dtype=np.float64)
+
+        if cfg.enable_quantization:
+            with np.errstate(divide="ignore"):
+                discharge = threshold / deposit
+            discharge += rng_quant.uniform(-1.0, 1.0, size=(b, n_pixels))
+            np.maximum(discharge, sim_mod._MIN_DISCHARGE, out=discharge)
+            deposit = threshold / discharge
+
+        if acc.max() < threshold and deposit.max() <= threshold:
+            csum = np.cumsum(deposit, axis=0)
+            csum += acc
+            wells = np.floor_divide(csum, threshold)
+            fires = np.empty((b, n_pixels), dtype=bool)
+            fires[0] = wells[0] > 0
+            np.not_equal(wells[1:], wells[:-1], out=fires[1:])
+            acc = csum[-1] - threshold * wells[-1]
+        else:
+            fires = np.empty((b, n_pixels), dtype=bool)
+            for i in range(b):
+                acc += deposit[i]
+                fired = acc >= threshold
+                fires[i] = fired
+                acc[fired] -= threshold
+
+        out[start:stop] = np.packbits(fires, axis=1, bitorder="little")
+    return out
+
+
+def _assert_ticks_match_reference(req, seed):
+    calib = req.calib if req.calib is not None else identity_calibration(*req.frame_shape[::-1])
+    got = sim_mod._simulate_ticks(req, calib, make_rng(seed))
+    want = reference_simulate_ticks(req, calib, make_rng(seed))
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def _flag_id(flags):
+    """Shot, dark, nonuniformity, quantization as S, D, N, Q or '-'."""
+    return "".join(letter if on else "-" for letter, on in zip("SDNQ", flags))
+
+
+@pytest.mark.parametrize("static", [True, False], ids=["static", "sequence"])
+@pytest.mark.parametrize("flags", list(itertools.product((False, True), repeat=4)), ids=_flag_id)
+def test_per_tick_path_matches_whole_block_reference(flags, static):
+    # 5x7 = 35 pixels, not a multiple of 8; a block here is 1024 ticks,
+    # so 1100 crosses both a chunk and a block boundary.
+    h, w = 5, 7
+    rng = np.random.default_rng(3)
+    calib = synthetic_calibration(w, h, seed=3)
+    shot, dark, nonuniform, quant = flags
+    noise = NoiseConfig(shot, dark, nonuniform, quant, rng_seed=0)
+    length = 1100
+    if static:
+        source = rng.uniform(0.0, 255.0, (h, w))
+    else:
+        source = rng.uniform(0.0, 255.0, (length, h, w))
+    for n in (1, 63, 64, 65, length):
+        req = SimulationRequest(
+            source=source if static else source[:n], theta=0.4, length=n, calib=calib, noise=noise
+        )
+        _assert_ticks_match_reference(req, seed=n)
+
+
+def test_per_tick_path_matches_reference_across_full_size_blocks():
+    # At 96x96 a block is 434 ticks: these lengths end just inside,
+    # on and just past chunk and block boundaries.
+    calib = synthetic_calibration(96, 96, seed=1)
+    source = np.random.default_rng(1).uniform(64.0, 255.0, (96, 96))
+    for n in (1, 63, 64, 65, 433, 434, 435, 900):
+        req = SimulationRequest(
+            source=source, theta=0.5, length=n, calib=calib, noise=NoiseConfig.all(0)
+        )
+        _assert_ticks_match_reference(req, seed=100 + n)
+    frames = np.random.default_rng(2).uniform(64.0, 255.0, (435, 96, 96))
+    req = SimulationRequest(
+        source=frames, theta=0.5, length=435, calib=calib, noise=NoiseConfig.all(0)
+    )
+    _assert_ticks_match_reference(req, seed=5)
+
+
+@pytest.mark.parametrize("quantization", [False, True])
+def test_per_tick_path_matches_reference_when_a_tick_overfills(quantization):
+    # theta 1.5 on values up to 255 deposits more than a full well per
+    # tick, which sends every block down the sequential branch.
+    source = np.linspace(100.0, 255.0, 5 * 7).reshape(5, 7)
+    noise = NoiseConfig(True, True, True, quantization, rng_seed=0)
+    req = SimulationRequest(
+        source=source, theta=1.5, length=300, calib=synthetic_calibration(7, 5, seed=4), noise=noise
+    )
+    _assert_ticks_match_reference(req, seed=9)
+
+
+def test_per_tick_path_matches_reference_on_a_noise_free_seventh_of_a_well():
+    req = SimulationRequest(
+        source=np.full((6, 9), 255.0 / 7.0), length=2100, noise=NoiseConfig.none()
+    )
+    _assert_ticks_match_reference(req, seed=0)
+    assert (sim_mod._simulate_ticks(req, identity_calibration(9, 6), make_rng(0)) != 0).any()
+
+
+def test_per_tick_path_memory_stays_bounded():
+    req = SimulationRequest(
+        source=np.random.default_rng(0).uniform(64.0, 255.0, (96, 96)),
+        theta=0.25,
+        length=768,
+        calib=synthetic_calibration(96, 96, seed=0),
+        noise=NoiseConfig.all(0),
+    )
+    tracemalloc.start()
+    try:
+        simulate(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
