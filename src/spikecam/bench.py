@@ -333,7 +333,8 @@ def run_benchmark(
             for spec in methods
         ]
 
-    with ThreadPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         cell_rows = list(pool.map(run_cell, cells, cell_rngs))
     return BenchmarkReport(
         seed=seed,

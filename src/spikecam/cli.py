@@ -182,7 +182,11 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     else:
         calib = identity_calibration(stream.width, stream.height, clock=stream.clock)
     method = "recurrent" if args.method == "rsir" else args.method
-    images = reconstruct(stream, method, ticks, calib, window=args.window)
+    try:
+        images = reconstruct(stream, method, ticks, calib, window=args.window)
+    except IndexError as exc:
+        # A tick outside the stream is a bad argument, not a crash.
+        raise UsageError(str(exc)) from exc
     for t, image in zip(ticks, images):
         path = f"{args.out_prefix}{t:06d}.pgm"
         write_image(np.clip(image, 0.0, 255.0), path, bit_depth=16)

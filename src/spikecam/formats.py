@@ -18,7 +18,7 @@ import struct
 import numpy as np
 
 from .calibration import CalibrationData
-from .streams import ClockParams, SpikeStream, frame_bytes
+from .streams import _BIT_REVERSE, ClockParams, SpikeStream, frame_bytes
 
 log = logging.getLogger(__name__)
 
@@ -80,11 +80,6 @@ def read_stream(path) -> SpikeStream:
     return SpikeStream.from_packed(
         bits, width, height, clock=ClockParams(tick_seconds=tick_ns / 1e9)
     )
-
-
-_BIT_REVERSE = np.array(
-    [int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8
-)
 
 
 def read_raw_stream(

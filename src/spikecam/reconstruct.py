@@ -461,10 +461,12 @@ def reconstruct(
 ) -> list[np.ndarray]:
     """One image per tick, in tick order, unclamped, by the named method.
 
+    A tick outside the stream raises IndexError before any image is made.
     ast bootstraps its density map as RecurrentRestorer does and refreshes
     it from tick to tick; recurrent is restore_recurrent with default params.
     """
     check_method(method, window)
+    ticks = [_check_tick(stream, t) for t in ticks]
     if method == "tfp":
         return [tfp(stream, t, window) for t in ticks]
     elif method == "tfi":

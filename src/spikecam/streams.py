@@ -4,9 +4,9 @@ A spike camera reports, for every pixel and every clock tick, a single bit:
 whether the integrate-and-fire circuit crossed its threshold during that
 tick.  Streams are therefore dense H x W x T bit volumes.  They are stored
 bit-packed (8 pixels per byte, least-significant bit first, rows top to
-bottom) so a full sensor dump stays small.  Consumers count spikes in the
-packed form (count_map, window_counts) and unpack only the time slices
-they scan tick by tick (to_dense, spike_edge_map).
+bottom) so a full sensor dump stays small.  The reductions (count_map,
+window_counts, spike_edge_map) all read it through one 8x8 bit transpose
+that gives each pixel a byte per 8 ticks; only to_dense unpacks.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ _TRANSPOSE_SWAPS = (
     (14, 0x0000CCCC0000CCCC),
     (28, 0x00000000F0F0F0F0),
 )
+# Ticks per step of the full-range scans, count_map and spike_edge_map.
+_SCAN_CHUNK = 4096
+# Per byte value: the byte with its bits reversed, and its lowest set bit.
+_BIT_REVERSE = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
+_LOWEST_BIT = np.array([max((i & -i).bit_length() - 1, 0) for i in range(256)], dtype=np.uint8)
 
 
 def _in_bytes(array: np.ndarray) -> bool:
@@ -183,6 +188,34 @@ class SpikeStream:
         count = int(((byte >> (idx & 7)) & 1).sum())
         return count / (hi - lo)
 
+    def _tick_bytes(self, lo: int, hi: int) -> np.ndarray:
+        """Ticks [lo, hi) as one byte per pixel per 8 ticks.
+
+        Returns a (groups, columns) uint8 array, groups = (hi - lo) // 8 + 1
+        and one column per packed bit (padding pixels read 0): bit i of
+        [g, c] is tick lo + 8g + i of pixel c.  The last group is a spare,
+        zero from tick hi on, so every offset in [0, hi - lo] has a group.
+        """
+        full, rest = divmod(hi - lo, 8)
+        groups = full + 1
+        nbytes = self.bits.shape[1]
+        # cube[g, j] is an 8x8 bit matrix, one uint64 word: byte i holds
+        # tick 8g + i of packed byte j, bit k pixel 8j + k.  Three delta
+        # swaps transpose it, so byte k holds that pixel's eight ticks.
+        cube = np.zeros((groups, nbytes, 8), dtype=np.uint8)
+        cube[:full] = self.bits[lo : lo + 8 * full].reshape(full, 8, nbytes).transpose(0, 2, 1)
+        cube[full, :, :rest] = self.bits[lo + 8 * full : hi].T
+        words = cube.view("<u8")[..., 0]
+        tmp = np.empty_like(words)
+        for shift, mask in _TRANSPOSE_SWAPS:
+            np.right_shift(words, shift, out=tmp)
+            tmp ^= words
+            tmp &= mask
+            words ^= tmp
+            tmp <<= shift
+            words ^= tmp
+        return cube.reshape(groups, nbytes * 8)
+
     def count_map(self, t_start: int, t_stop: int) -> np.ndarray:
         """Per-pixel spike counts over ticks [t_start, t_stop), clipped to bounds."""
         lo = max(t_start, 0)
@@ -191,14 +224,11 @@ class SpikeStream:
             raise ValueError(
                 f"tick range [{t_start}, {t_stop}) does not overlap stream of length {self.length}"
             )
-        # Summing each bit position over the packed bytes skips the 8x
-        # larger unpacked volume; matters for calibration-length streams.
-        window = self.bits[lo:hi]
-        n_pixels = self.height * self.width
-        count = np.empty(window.shape[1] * 8, dtype=np.int64)
-        for k in range(8):
-            count[k::8] = ((window >> k) & 1).sum(axis=0, dtype=np.int64)
-        return count[:n_pixels].reshape(self.height, self.width)
+        count = np.zeros(self.bits.shape[1] * 8, dtype=np.int64)
+        for off in range(lo, hi, _SCAN_CHUNK):
+            ticks = self._tick_bytes(off, min(off + _SCAN_CHUNK, hi))
+            count += np.bitwise_count(ticks, out=ticks).sum(axis=0, dtype=np.int64)
+        return count[: self.height * self.width].reshape(self.height, self.width)
 
     def window_counts(self, t_start: np.ndarray, t_stop: np.ndarray) -> np.ndarray:
         """Per-pixel spike counts over per-pixel tick ranges [t_start, t_stop).
@@ -218,29 +248,8 @@ class SpikeStream:
                 f"tick ranges must satisfy 0 <= start <= stop <= {self.length}"
             )
         base = int(lo.min())
-        top = int(hi.max())
-        full, rest = divmod(top - base, 8)
-        # A range end r reads group (r - base) // 8, one past the span when
-        # the span is a whole number of groups; a spare zero group covers it.
-        groups = full + 1
-        nbytes = self.bits.shape[1]
-        ncols = nbytes * 8
-        # cube[g, j] is an 8x8 bit matrix, one uint64 word: byte i holds
-        # tick 8g + i of packed byte j, bit k pixel 8j + k.  Three delta
-        # swaps transpose it, so byte k holds that pixel's eight ticks.
-        cube = np.zeros((groups, nbytes, 8), dtype=np.uint8)
-        cube[:full] = self.bits[base : base + 8 * full].reshape(full, 8, nbytes).transpose(0, 2, 1)
-        cube[full, :, :rest] = self.bits[base + 8 * full : top].T
-        words = cube.view("<u8")[..., 0]
-        tmp = np.empty_like(words)
-        for shift, mask in _TRANSPOSE_SWAPS:
-            np.right_shift(words, shift, out=tmp)
-            tmp ^= words
-            tmp &= mask
-            words ^= tmp
-            tmp <<= shift
-            words ^= tmp
-        ticks = cube.reshape(groups, ncols)
+        ticks = self._tick_bytes(base, int(hi.max()))
+        groups, ncols = ticks.shape
         # Inclusive prefix over groups.  Adding row by row is several times
         # faster than a cumulative sum along axis 0.
         prefix = np.empty((groups, ncols), dtype=np.min_scalar_type(8 * groups))
@@ -279,42 +288,31 @@ class SpikeStream:
         lo = max(t_start, 0)
         hi = min(t_stop, self.length)
         n_pixels = self.height * self.width
-        t_a = np.full(n_pixels, -1, dtype=np.int64)
-        t_b = np.full(n_pixels, -1, dtype=np.int64)
-        chunk = 4096
-        cols = np.arange(n_pixels)
-        for off in range(lo, hi, chunk):
-            end = min(off + chunk, hi)
+        ncols = self.bits.shape[1] * 8
+        edges = np.full((n, ncols), -1, dtype=np.int64)
+        found = np.zeros(ncols, dtype=np.int64)
+        cols = np.arange(ncols)
+        for off in range(lo, hi, _SCAN_CHUNK):
+            end = min(off + _SCAN_CHUNK, hi)
             c_lo, c_hi = (off, end) if not from_end else (lo + hi - end, lo + hi - off)
-            dense = self.to_dense(c_lo, c_hi).reshape(c_hi - c_lo, n_pixels)
+            ticks = self._tick_bytes(c_lo, c_hi)
             if from_end:
-                dense = dense[::-1]
-            has1 = dense.any(axis=0)
-            if has1.any():
-                i1 = dense.argmax(axis=0)
-                tick1 = (c_lo + i1) if not from_end else (c_hi - 1 - i1)
-                fresh = (t_a < 0) & has1
-                t_a[fresh] = tick1[fresh]
-                if n == 2:
-                    # Second spike of the chunk, for pixels whose first
-                    # spike also lives here; otherwise the chunk's first
-                    # spike is the pixel's second overall.
-                    d2 = dense.copy()
-                    d2[i1, cols] = False
-                    has2 = d2.any(axis=0)
-                    i2 = d2.argmax(axis=0)
-                    tick2 = (c_lo + i2) if not from_end else (c_hi - 1 - i2)
-                    seen_before = (t_a >= 0) & ~fresh
-                    take = (t_b < 0) & ((fresh & has2) | (seen_before & has1))
-                    cand = np.where(fresh, tick2, tick1)
-                    t_b[take] = cand[take]
-            done = t_a >= 0 if n == 1 else t_b >= 0
-            if done.all():
+                # Reversed groups and bits scan high to low as low to high:
+                # position p then stands for tick c_lo + 8 * groups - 1 - p.
+                ticks = _BIT_REVERSE[ticks[::-1]]
+            for _ in range(n):
+                # Each round takes and clears every pixel's earliest spike left.
+                g = (ticks != 0).argmax(axis=0)
+                b = ticks[g, cols]
+                pos = 8 * g + _LOWEST_BIT[b]
+                tick = c_lo + pos if not from_end else c_lo + 8 * len(ticks) - 1 - pos
+                take = (b != 0) & (found < n)
+                edges[found[take], cols[take]] = tick[take]
+                found += take
+                ticks[g, cols] = b & (b - 1)
+            if (found[:n_pixels] == n).all():
                 break
-        shape = (self.height, self.width)
-        if n == 1:
-            return t_a.reshape(1, *shape)
-        return np.stack([t_a.reshape(shape), t_b.reshape(shape)])
+        return edges[:, :n_pixels].reshape(n, self.height, self.width)
 
     def density_map(self, t_start: int, window: int) -> np.ndarray:
         """Per-pixel spike density over the clipped window, as float64."""

@@ -382,7 +382,9 @@ def test_run_benchmark_keeps_cell_order_when_the_first_cell_finishes_last(monkey
 
     monkeypatch.setattr(bench, "simulate", simulate)
     report = run_benchmark(*args, **kwargs)
-    if len(os.sched_getaffinity(0)) > 1:
+    # run_benchmark's pool size, with its fallback where sched_getaffinity is missing.
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (workers or 1) > 1:
         assert finished[-1] and not any(finished[:-1])
     expected = [
         (scene.name, illum, spec.label)
@@ -406,6 +408,16 @@ def test_run_benchmark_propagates_a_simulation_failure(monkeypatch):
     monkeypatch.setattr(bench, "simulate", simulate)
     with pytest.raises(RuntimeError, match="sensor exploded"):
         run_benchmark(*args, **kwargs)
+
+
+def test_run_benchmark_sizes_its_pool_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no sched_getaffinity; the pool takes cpu_count.
+    args = ([_tiny_scene()], identity_calibration(16, 16), [MethodSpec("tfp", window=16)], 2)
+    kwargs = dict(noise=NoiseConfig.none(), length=160, eval_tick=96)
+    expected = run_benchmark(*args, **kwargs)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    report = run_benchmark(*args, **kwargs)
+    assert _csv_without_runtime(report) == _csv_without_runtime(expected)
 
 
 # ----------------------------------------------------------------------

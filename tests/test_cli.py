@@ -265,6 +265,22 @@ def test_reconstruct_recurrent_writes_one_file_per_tick(tmp_path, capsys):
         assert np.all((image >= 0.0) & (image <= 255.0))
 
 
+@pytest.mark.parametrize("method", ["tfp", "tfi", "ast", "rsir"])
+@pytest.mark.parametrize("tick", ["-1", "100"])
+def test_reconstruct_tick_outside_stream_is_a_usage_error(tmp_path, capsys, method, tick):
+    stream = _flat_stream_file(tmp_path, length=100)
+    window = ["--window", "4"] if method == "tfp" else []
+    code = main([
+        "reconstruct", stream, "--method", method, *window,
+        "--at", tick, "--out-prefix", str(tmp_path / "o-"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: tick {tick} outside stream of length 100" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("o-*"))
+
+
 # ----------------------------------------------------------------------
 # calibrate
 

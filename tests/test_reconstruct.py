@@ -630,3 +630,17 @@ def test_reconstruct_checks_method_and_window():
         reconstruct(stream, "tfi", [10], calib, window=8)
     with pytest.raises(ValueError, match="unknown method"):
         reconstruct(stream, "rsir", [10], calib)
+
+
+def test_reconstruct_checks_every_tick_for_every_method():
+    # tfp's clipped window would overlap the stream at tick -1; the tick
+    # itself is still outside it.
+    stream = simulate_ideal(np.full((8, 8), 51.0), length=64)
+    calib = identity_calibration(8, 8)
+    with pytest.raises(IndexError):
+        reconstruct(stream, "tfp", [-1], calib, window=4)
+    for method in ("tfp", "tfi", "ast", "recurrent"):
+        window = 4 if method == "tfp" else None
+        for ticks in ([-1], [64], [10, 64]):
+            with pytest.raises(IndexError, match="outside stream of length 64"):
+                reconstruct(stream, method, ticks, calib, window=window)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -290,6 +292,120 @@ def test_spike_edge_map_rejects_bad_n():
     stream = SpikeStream.from_dense(np.zeros((4, 1, 1), dtype=bool))
     with pytest.raises(ValueError):
         stream.spike_edge_map(0, 4, n=3)
+
+
+# ----------------------------------------------------------------------
+# reference reductions: count_map and spike_edge_map as they were before
+# all three reductions shared one transposed tick-byte scan
+
+
+def reference_count_map(stream, t_start, t_stop):
+    lo = max(t_start, 0)
+    hi = min(t_stop, stream.length)
+    window = stream.bits[lo:hi]
+    n_pixels = stream.height * stream.width
+    count = np.empty(window.shape[1] * 8, dtype=np.int64)
+    for k in range(8):
+        count[k::8] = ((window >> k) & 1).sum(axis=0, dtype=np.int64)
+    return count[:n_pixels].reshape(stream.height, stream.width)
+
+
+def reference_spike_edge_map(stream, t_start, t_stop, from_end=False, n=1):
+    lo = max(t_start, 0)
+    hi = min(t_stop, stream.length)
+    n_pixels = stream.height * stream.width
+    t_a = np.full(n_pixels, -1, dtype=np.int64)
+    t_b = np.full(n_pixels, -1, dtype=np.int64)
+    chunk = 4096
+    cols = np.arange(n_pixels)
+    for off in range(lo, hi, chunk):
+        end = min(off + chunk, hi)
+        c_lo, c_hi = (off, end) if not from_end else (lo + hi - end, lo + hi - off)
+        dense = stream.to_dense(c_lo, c_hi).reshape(c_hi - c_lo, n_pixels)
+        if from_end:
+            dense = dense[::-1]
+        has1 = dense.any(axis=0)
+        if has1.any():
+            i1 = dense.argmax(axis=0)
+            tick1 = (c_lo + i1) if not from_end else (c_hi - 1 - i1)
+            fresh = (t_a < 0) & has1
+            t_a[fresh] = tick1[fresh]
+            if n == 2:
+                d2 = dense.copy()
+                d2[i1, cols] = False
+                has2 = d2.any(axis=0)
+                i2 = d2.argmax(axis=0)
+                tick2 = (c_lo + i2) if not from_end else (c_hi - 1 - i2)
+                seen_before = (t_a >= 0) & ~fresh
+                take = (t_b < 0) & ((fresh & has2) | (seen_before & has1))
+                cand = np.where(fresh, tick2, tick1)
+                t_b[take] = cand[take]
+        done = t_a >= 0 if n == 1 else t_b >= 0
+        if done.all():
+            break
+    shape = (stream.height, stream.width)
+    if n == 1:
+        return t_a.reshape(1, *shape)
+    return np.stack([t_a.reshape(shape), t_b.reshape(shape)])
+
+
+def _reduction_grid_stream(length, seed):
+    # 3x5 = 15 pixels, not a multiple of 8.  Pixel 0 never fires, pixel 1
+    # fires once and pixel 2 twice; the rest span sparse to dense.
+    rng = np.random.default_rng(seed)
+    rates = np.array([0, 0, 0, 0.001, 0.01, 0.05, 0.2, 0.5, 0.9, 1, 0.002, 0.02, 0.1, 0.3, 0.7])
+    dense = rng.random((length, 15)) < rates
+    dense[:, 1] = False
+    dense[rng.integers(length), 1] = True
+    dense[:, 2] = False
+    dense[rng.choice(length, size=min(2, length), replace=False), 2] = True
+    return SpikeStream.from_dense(dense.reshape(length, 3, 5))
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 4095, 4096, 4097, 8200])
+def test_reductions_match_reference_exactly(length):
+    stream = _reduction_grid_stream(length, seed=length)
+    ranges = [
+        (0, length),
+        (length // 3, length - length // 4),
+        (-5, length // 2 + 1),
+        (length // 2, length + 9),
+        (-3, length + 3),
+        (1, length),
+    ]
+    for t_start, t_stop in ranges:
+        if min(t_stop, length) > max(t_start, 0):
+            assert np.array_equal(
+                stream.count_map(t_start, t_stop), reference_count_map(stream, t_start, t_stop)
+            )
+        for from_end in (False, True):
+            for n in (1, 2):
+                got = stream.spike_edge_map(t_start, t_stop, from_end=from_end, n=n)
+                want = reference_spike_edge_map(stream, t_start, t_stop, from_end, n)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (t_start, t_stop, from_end, n)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_range_scans_stay_near_the_packed_size():
+    # Both scans work in packed bytes, so neither may build the 8x larger
+    # bool volume of the ticks it reads.
+    rng = np.random.default_rng(11)
+    length = 2048
+    packed = np.packbits(rng.random((length, 64 * 64)) < 0.05, axis=1, bitorder="little")
+    stream = SpikeStream.from_packed(packed, 64, 64)
+    budget = 4 * stream.bits.nbytes
+    assert _traced_peak(lambda: stream.count_map(0, length)) <= budget
+    assert _traced_peak(lambda: stream.spike_edge_map(0, length, n=2)) <= budget
+    assert _traced_peak(lambda: stream.spike_edge_map(0, length, from_end=True, n=2)) <= budget
 
 
 # ----------------------------------------------------------------------
