@@ -24,6 +24,7 @@ from .calibration import (
 )
 from .formats import (
     FormatError,
+    _write_file,
     center_crop,
     read_calibration,
     read_image,
@@ -218,8 +219,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     sys.stdout.write(report.to_csv())
     sys.stderr.write(report.to_summary())
     if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(report.to_text())
+        _write_file(args.report, report.to_text().encode("ascii"))
     return 0
 
 

@@ -44,9 +44,9 @@ _TRANSPOSE_SWAPS = (
 )
 # Ticks per step of the full-range scans, count_map and spike_edge_map.
 _SCAN_CHUNK = 4096
-# Per byte value: the byte with its bits reversed, and its lowest set bit.
-_BIT_REVERSE = np.array([int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.uint8)
+# Per byte value: its lowest and its highest set bit (0 for the zero byte).
 _LOWEST_BIT = np.array([max((i & -i).bit_length() - 1, 0) for i in range(256)], dtype=np.uint8)
+_HIGHEST_BIT = np.array([max(i.bit_length() - 1, 0) for i in range(256)], dtype=np.uint8)
 
 
 def _in_bytes(array: np.ndarray) -> bool:
@@ -296,20 +296,21 @@ class SpikeStream:
             end = min(off + _SCAN_CHUNK, hi)
             c_lo, c_hi = (off, end) if not from_end else (lo + hi - end, lo + hi - off)
             ticks = self._tick_bytes(c_lo, c_hi)
-            if from_end:
-                # Reversed groups and bits scan high to low as low to high:
-                # position p then stands for tick c_lo + 8 * groups - 1 - p.
-                ticks = _BIT_REVERSE[ticks[::-1]]
             for _ in range(n):
-                # Each round takes and clears every pixel's earliest spike left.
-                g = (ticks != 0).argmax(axis=0)
+                # Each round takes and clears every pixel's earliest spike
+                # left, or its latest: the lowest set bit of the first
+                # nonzero byte, or the highest of the last.
+                nonzero = ticks != 0
+                if from_end:
+                    g = len(ticks) - 1 - nonzero[::-1].argmax(axis=0)
+                else:
+                    g = nonzero.argmax(axis=0)
                 b = ticks[g, cols]
-                pos = 8 * g + _LOWEST_BIT[b]
-                tick = c_lo + pos if not from_end else c_lo + 8 * len(ticks) - 1 - pos
+                bit = (_HIGHEST_BIT if from_end else _LOWEST_BIT)[b]
                 take = (b != 0) & (found < n)
-                edges[found[take], cols[take]] = tick[take]
+                edges[found[take], cols[take]] = c_lo + 8 * g[take] + bit[take]
                 found += take
-                ticks[g, cols] = b & (b - 1)
+                ticks[g, cols] = b & ~(np.uint8(1) << bit)
             if (found[:n_pixels] == n).all():
                 break
         return edges[:, :n_pixels].reshape(n, self.height, self.width)

@@ -3,8 +3,11 @@
 Registers a hypothesis profile suited to CI (no deadline; statistical tests
 manage their own budgets) and collects acceptance-criterion result lines so
 they are printed in a dedicated section at the end of the run regardless of
-capture settings.
+capture settings.  Two fixtures watch the in-place file writers.
 """
+
+import errno
+import os
 
 import hypothesis
 import pytest
@@ -28,6 +31,41 @@ def acceptance_report():
         _ACCEPTANCE_LINES.append(line)
 
     return record
+
+
+@pytest.fixture
+def write_opens(monkeypatch):
+    """(path, flags) of every os.open for writing made during the test.
+
+    Fails the call outright when it asks for O_TRUNC: the writers rewrite
+    files in place, and truncating on open is what they exist to avoid.
+    """
+    opens = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        if flags & (os.O_WRONLY | os.O_RDWR):
+            assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
+            opens.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    return opens
+
+
+@pytest.fixture
+def disk_full_mid_write(monkeypatch):
+    """os.write stores 4 bytes on its first call, then fails with ENOSPC."""
+    real_write = os.write
+    calls = []
+
+    def failing_write(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, bytes(data)[:4])
+
+    monkeypatch.setattr(os, "write", failing_write)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -6,12 +6,16 @@ output, and the files the commands leave behind.
 
 from __future__ import annotations
 
+import os
+import stat
 import subprocess
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spikecam import cli
+from spikecam.bench import DEFAULT_METHODS, Scene, run_benchmark, synthetic_calibration
 from spikecam.cli import main
 from spikecam.calibration import make_calibration
 from spikecam.formats import (
@@ -363,6 +367,53 @@ def test_bench_empty_scene_directory_is_a_data_error(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     scenes.mkdir()
     assert main(["bench", "--scenes", str(scenes)]) == 2
+
+
+@pytest.fixture(scope="module")
+def tiny_report():
+    """One real bench report; the --report tests replay it so runtimes match."""
+    scene = Scene("tiny", np.tile(np.linspace(64.0, 255.0, 16), (16, 1)))
+    return run_benchmark([scene], synthetic_calibration(16, 16, seed=3), DEFAULT_METHODS, 3)
+
+
+def _bench_report(tmp_path, monkeypatch, report, path):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir(exist_ok=True)
+    # Not through write_image, which disk_full_mid_write would fail.
+    (scenes / "tiny.pgm").write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    monkeypatch.setattr(cli, "run_benchmark", lambda *args: report)
+    return main(["bench", "--scenes", str(scenes), "--report", str(path)])
+
+
+def test_bench_report_is_rewritten_in_place(tmp_path, monkeypatch, tiny_report, write_opens):
+    fresh = tmp_path / "fresh.txt"
+    assert _bench_report(tmp_path, monkeypatch, tiny_report, fresh) == 0
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"\xa5" * (2 * fresh.stat().st_size + 100))
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    os.link(target, link)
+    inode = target.stat().st_ino
+    assert _bench_report(tmp_path, monkeypatch, tiny_report, target) == 0
+    assert target.read_bytes() == fresh.read_bytes() == tiny_report.to_text().encode()
+    assert link.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [path for path, _ in write_opens if path.endswith(".txt")] == [str(fresh), str(target)]
+
+
+def test_bench_report_to_a_device(tmp_path, monkeypatch, tiny_report):
+    assert _bench_report(tmp_path, monkeypatch, tiny_report, os.devnull) == 0
+
+
+def test_bench_report_failed_write_leaves_an_empty_file(
+    tmp_path, monkeypatch, tiny_report, disk_full_mid_write, capsys
+):
+    target = tmp_path / "report.txt"
+    target.write_bytes(b"\xa5" * 4096)
+    assert _bench_report(tmp_path, monkeypatch, tiny_report, target) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert target.stat().st_size == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import base64
 import itertools
+import os
+import stat
 import struct
 import tracemalloc
 
@@ -12,6 +14,7 @@ from spikecam.calibration import make_calibration
 from spikecam.formats import (
     FormatError,
     SPIKE_MAGIC,
+    _write_file,
     center_crop,
     read_calibration,
     read_image,
@@ -449,6 +452,76 @@ def test_calibration_reader_rejects_non_documents(tmp_path):
     path.write_bytes(b"spikecal 1\nwidth \xff\n")
     with pytest.raises(FormatError):
         read_calibration(path)
+
+
+# ----------------------------------------------------------------------
+# in-place rewrites: every writer goes through _write_file
+
+_IMAGE = np.arange(12.0).reshape(3, 4) * 20.0
+_WRITERS = {
+    "stream": lambda path: write_stream(random_stream(4, 5, 3, 6), path),
+    "image8": lambda path: write_image(_IMAGE, path),
+    "image16": lambda path: write_image(_IMAGE, path, bit_depth=16),
+    "calibration": lambda path: write_calibration(sample_calibration(), path),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writer_rewrites_a_longer_file_in_place(name, tmp_path):
+    write = _WRITERS[name]
+    fresh = tmp_path / "fresh"
+    write(fresh)
+    target = tmp_path / "target"
+    target.write_bytes(b"\xa5" * (2 * fresh.stat().st_size + 100))
+    target.chmod(0o640)
+    link = tmp_path / "link"
+    os.link(target, link)
+    inode = target.stat().st_ino
+    write(target)
+    assert target.read_bytes() == fresh.read_bytes()
+    assert link.read_bytes() == fresh.read_bytes()
+    assert target.stat().st_ino == inode
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writer_never_opens_with_o_trunc(name, tmp_path, write_opens):
+    # write_opens fails an O_TRUNC open; a writer back on open(path, "wb")
+    # makes no os.open call at all.
+    _WRITERS[name](tmp_path / "out")
+    assert [path for path, _ in write_opens] == [str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writer_accepts_a_device(name):
+    _WRITERS[name](os.devnull)
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_writer_failure_leaves_an_empty_file(name, tmp_path, disk_full_mid_write):
+    target = tmp_path / "target"
+    target.write_bytes(b"\xa5" * 4096)
+    with pytest.raises(OSError):
+        _WRITERS[name](target)
+    assert target.stat().st_size == 0
+
+
+def test_write_file_chunk_that_raises_leaves_an_empty_file(tmp_path):
+    target = tmp_path / "target"
+    target.write_bytes(b"\xa5" * 4096)
+    with pytest.raises(TypeError):
+        _write_file(target, b"new head", object())
+    assert target.stat().st_size == 0
+
+
+def test_write_file_creates_with_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        _write_file(tmp_path / "new", b"abc")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o640
+    assert (tmp_path / "new").read_bytes() == b"abc"
 
 
 # ----------------------------------------------------------------------
