@@ -35,7 +35,7 @@ def acceptance_report():
 
 @pytest.fixture
 def write_opens(monkeypatch):
-    """(path, flags) of every os.open for writing made during the test.
+    """Path of every os.open for writing made during the test.
 
     Fails the call outright when it asks for O_TRUNC: the writers rewrite
     files in place, and truncating on open is what they exist to avoid.
@@ -46,7 +46,7 @@ def write_opens(monkeypatch):
     def recording_open(path, flags, *args, **kwargs):
         if flags & (os.O_WRONLY | os.O_RDWR):
             assert not flags & os.O_TRUNC, f"{path} opened with O_TRUNC"
-            opens.append((os.fspath(path), flags))
+            opens.append(os.fspath(path))
         return real_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", recording_open)
@@ -60,9 +60,9 @@ def disk_full_mid_write(monkeypatch):
     calls = []
 
     def failing_write(fd, data):
-        calls.append(fd)
-        if len(calls) > 1:
+        if calls:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        calls.append(fd)
         return real_write(fd, bytes(data)[:4])
 
     monkeypatch.setattr(os, "write", failing_write)
