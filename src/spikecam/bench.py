@@ -301,11 +301,12 @@ def run_benchmark(
 
     Cells run concurrently, one thread per CPU this process may use:
     the simulator's draws release the interpreter lock, and each
-    simulation works in one reused block of at most ~4M float64 deposits,
-    so cells overlap without a cell's memory growing.  Rows come back in
-    cell order and, because every cell draws only from its own rng, are
-    the same as a serial sweep's apart from runtime, which is the wall
-    time of a method while other cells run alongside it.
+    simulation draws into one reused buffer of at most 64 ticks of
+    float64 deposits, so cells overlap without a cell's memory growing.
+    Rows come back in cell order and, because every cell draws only from
+    its own rng, are the same as a serial sweep's apart from runtime,
+    which is the wall time of a method while other cells run alongside
+    it.
     """
     if not scenes:
         raise ValueError("at least one scene is required")

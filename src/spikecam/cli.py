@@ -219,7 +219,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     sys.stdout.write(report.to_csv())
     sys.stderr.write(report.to_summary())
     if args.report:
-        _write_file(args.report, report.to_text().encode("ascii"))
+        _write_file(args.report, report.to_text().encode("utf-8"))
     return 0
 
 

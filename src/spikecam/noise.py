@@ -127,16 +127,13 @@ class TruncationDistribution:
         return picked if size is not None else float(picked)
 
 
-def _bracket_index(period: float, window: int) -> int:
-    """Unique integer k with k*period < window <= (k+1)*period."""
-    k = int(np.ceil(window / period)) - 1
+def _bracket_index(period: float | np.ndarray, window: int) -> np.ndarray:
+    """Integer k with k*period < window <= (k+1)*period, elementwise, as float."""
+    k = np.ceil(window / period) - 1.0
     # float division can land one step off near exact multiples; repair
     # against the defining inequalities evaluated in float
-    if k * period >= window:
-        k -= 1
-    if (k + 1) * period < window:
-        k += 1
-    return k
+    k = np.where(k * period >= window, k - 1.0, k)
+    return np.where((k + 1.0) * period < window, k + 1.0, k)
 
 
 def truncation_distribution(period: float, window: int) -> TruncationDistribution:
@@ -156,7 +153,7 @@ def truncation_distribution(period: float, window: int) -> TruncationDistributio
         raise ValueError(f"period must be positive and finite, got {period}")
     if not (isinstance(window, (int, np.integer)) and window > 0):
         raise ValueError(f"window must be a positive integer, got {window!r}")
-    k = _bracket_index(period, window)
+    k = int(_bracket_index(period, window))
     p_hi = (window - k * period) / period
     p_lo = ((k + 1) * period - window) / period
     outcomes: list[tuple[float, float]] = [((k + 1) / window, p_hi)]
@@ -215,9 +212,7 @@ def apply_imaging_model(
         period = period + rng.uniform(-1.0, 1.0, size=img.shape)
         np.maximum(period, 1e-9, out=period)
 
-    k = np.ceil(window / period) - 1.0
-    k = np.where(k * period >= window, k - 1.0, k)
-    k = np.where((k + 1.0) * period < window, k + 1.0, k)
+    k = _bracket_index(period, window)
     p_hi = (window - k * period) / period
     pick_hi = rng.random(img.shape) < p_hi
     rate = np.where(pick_hi, (k + 1.0) / window, k / window)

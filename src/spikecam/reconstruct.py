@@ -94,26 +94,12 @@ def tfi(stream: SpikeStream, t: int) -> np.ndarray:
     pixel with fewer than two spikes in the stream reads 0.
     """
     t = _check_tick(stream, t)
-    h, w = stream.height, stream.width
-    prev = stream.spike_edge_map(0, t + 1, from_end=True)[0]
-    if t + 1 < stream.length:
-        nxt = stream.spike_edge_map(t + 1, stream.length)[0]
-    else:
-        nxt = np.full((h, w), -1, dtype=np.int64)
-
-    isi = (nxt - prev).astype(np.float64)
-    no_prev = prev < 0
-    no_next = nxt < 0
-    if no_prev.any():
-        first2 = stream.spike_edge_map(0, stream.length, n=2)
-        isi = np.where(no_prev, (first2[1] - first2[0]).astype(np.float64), isi)
-        lacking = no_prev & (first2[1] < 0)
-    else:
-        lacking = np.zeros((h, w), dtype=bool)
-    if no_next.any():
-        last2 = stream.spike_edge_map(0, stream.length, from_end=True, n=2)
-        isi = np.where(no_next, (last2[0] - last2[1]).astype(np.float64), isi)
-        lacking |= no_next & (last2[1] < 0)
+    p1, p2 = stream.spike_edge_map(0, t + 1, from_end=True, n=2)
+    n1, n2 = stream.spike_edge_map(t + 1, stream.length, n=2)
+    no_prev = p1 < 0
+    no_next = n1 < 0
+    isi = np.where(no_prev, n2 - n1, np.where(no_next, p1 - p2, n1 - p1)).astype(np.float64)
+    lacking = (no_prev & (n2 < 0)) | (no_next & (p2 < 0))
 
     with np.errstate(divide="ignore"):
         out = _FULL_SCALE / isi

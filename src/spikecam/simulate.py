@@ -7,16 +7,21 @@ photon arrival statistics (shot), thermal dark current, per-pixel
 response nonuniformity, and the tick-grid quantization of discharge
 times.
 
-The per-tick recurrence is vectorized in fixed-size tick blocks via a
-cumulative-sum threshold-crossing rule that is bit-identical to the
-sequential loop whenever no single tick deposits more than one full
-well.  A block's deposits are drawn in chunks of at most 64 ticks into
-one float64 buffer that is reused for every block, and the cumulative
-charge and whole-well counts are computed in place in it; each noise
-source keeps its own generator and draws tick-major, so the chunking
-does not change any variate.  The working set is that buffer (at most
-~4M pixel-ticks, 32 MB), a bool fire mask an eighth of its size, one
-chunk's temporaries and the packed output.
+The per-tick path integrates one tick at a time over all pixels.  Each
+pixel sums its deposits in tick order from the start of a block and
+fires at a tick when that sum plus the charge carried into the block
+reaches its next whole well, so it fires at most once per tick and
+carries any excess.  In exact arithmetic this is the sequential rule
+(add the deposit, fire and subtract a well once the charge reaches it),
+but the two round differently: on a noise-free seventh of a well they
+first disagree at tick 34, and the simulator follows the block sums.
+The sums restart every block of at most 1024 ticks (fewer on large
+sensors).  Deposits are drawn a chunk of at most 64 ticks at a time into
+one reused float64 buffer with a bool fire mask of the same shape,
+packed per chunk; each noise source keeps its own generator and draws
+tick-major, so the chunking does not change any variate.  The working
+set is that chunk, a few per-pixel vectors, one chunk's draw temporaries
+and the packed output.
 
 For long static scenes with shot noise on and quantization off, the
 stream is instead constructed directly from the photon arrival process
@@ -37,12 +42,13 @@ from .streams import SpikeStream, frame_bytes, validate_image
 
 __all__ = ["SimulationRequest", "simulate", "simulate_ideal"]
 
-# Ticks per vectorized batch, shrunk so a batch never exceeds ~4M pixels
-# worth of temporaries regardless of sensor size.
+# Ticks between restarts of the per-tick path's running deposit sums,
+# fewer on sensors over ~4k pixels so a block spans at most ~4M
+# pixel-ticks; the float rounding of the sums depends on these.
 _BLOCK_TICKS = 1024
 _BLOCK_BUDGET = 4_000_000
-# Ticks drawn into a block per step, so each draw's temporaries stay a
-# small fraction of the block.
+# Ticks drawn per step, which bounds the deposit buffer and each draw's
+# temporaries.
 _CHUNK_TICKS = 64
 
 # Discharge times are floored here after jitter so a very bright pixel
@@ -181,78 +187,72 @@ def _simulate_ticks(
 
     gain, _ = _effective_gain(calib, cfg)
     dark_rate = calib.L_d.ravel()
-    lift = cfg.enable_dark or cfg.enable_nonuniformity
-    merge_poisson = cfg.enable_shot and cfg.enable_dark
-
+    lift = dark_rate if cfg.enable_nonuniformity else 0.0
     if req.is_static:
         static_signal = req.theta * req.source.ravel()
     else:
         frames = req.source.reshape(req.source.shape[0], n_pixels)
 
     block = max(1, min(_BLOCK_TICKS, _BLOCK_BUDGET // max(1, n_pixels)))
-    # One block of per-tick deposits, reused: it becomes the block's
-    # cumulative charge and then its whole-well counts in place.
-    buf = np.empty((min(block, length), n_pixels))
-    fires = np.empty(buf.shape, dtype=bool)
+    chunk = min(_CHUNK_TICKS, block, length)
+    deposit = np.empty((chunk, n_pixels))
+    fires = np.empty(deposit.shape, dtype=bool)
     acc = np.zeros(n_pixels)
+    total = np.empty(n_pixels)
+    charge = np.empty(n_pixels)
+    next_well = np.empty(n_pixels)
     out = np.empty((length, frame_bytes(w, h)), dtype=np.uint8)
 
     for start in range(0, length, block):
         stop = min(start + block, length)
-        b = stop - start
-        deposit = buf[:b]
-
-        # Fill the block a chunk of ticks at a time; each generator still
-        # draws its variates tick-major, so chunking does not change them.
-        for lo in range(start, stop, _CHUNK_TICKS):
-            hi = min(lo + _CHUNK_TICKS, stop)
-            rows = deposit[lo - start : hi - start]
-            shape = rows.shape
+        total[:] = 0.0
+        next_well[:] = threshold
+        # Draw a chunk of ticks at a time; each generator still draws its
+        # variates tick-major, so chunking does not change them.
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            rows = deposit[: hi - lo]
             if req.is_static:
-                signal = np.broadcast_to(static_signal, shape)
+                signal = np.broadcast_to(static_signal, rows.shape)
             else:
                 signal = req.theta * frames[lo:hi]
-            if merge_poisson:
-                np.multiply(gain, rng_shot.poisson(signal + dark_rate), out=rows)
+            # gain * counts: one Poisson draw of signal plus dark rate, or the
+            # signal plus a Poisson dark draw, the L_d lift or nothing.
+            if cfg.enable_shot and cfg.enable_dark:
+                counts = rng_shot.poisson(signal + dark_rate)
+            elif cfg.enable_dark:
+                counts = signal + rng_dark.poisson(np.broadcast_to(dark_rate, rows.shape))
             else:
-                if cfg.enable_shot:
-                    signal = rng_shot.poisson(signal)
-                if lift:
-                    if cfg.enable_dark:
-                        dark = rng_dark.poisson(np.broadcast_to(dark_rate, shape))
-                    else:
-                        dark = dark_rate
-                    np.multiply(gain, signal + dark, out=rows)
-                else:
-                    rows[...] = signal
+                counts = (rng_shot.poisson(signal) if cfg.enable_shot else signal) + lift
+            np.multiply(gain, counts, out=rows)
+            del counts  # freed before the quantization temporaries
             if cfg.enable_quantization:
                 with np.errstate(divide="ignore"):
                     discharge = threshold / rows
-                discharge += rng_quant.uniform(-1.0, 1.0, size=shape)
+                discharge += rng_quant.uniform(-1.0, 1.0, size=rows.shape)
                 np.maximum(discharge, _MIN_DISCHARGE, out=discharge)
                 np.divide(threshold, discharge, out=rows)
 
-        if acc.max() < threshold and deposit.max() <= threshold:
-            # Cumulative threshold crossings reproduce the sequential
-            # rule exactly when no tick overfills the well.
-            csum = np.cumsum(deposit, axis=0, out=deposit)
-            csum += acc
-            last = csum[-1].copy()
-            wells = np.floor_divide(csum, threshold, out=csum)
-            np.greater(wells[0], 0, out=fires[0])
-            np.not_equal(wells[1:], wells[:-1], out=fires[1:b])
-            acc = last - threshold * wells[-1]
-            if not (acc.min() >= 0 and acc.max() < threshold):
-                raise RuntimeError("integrator charge left outside [0, threshold)")
-        else:
-            for i in range(b):
-                acc += deposit[i]
-                fired = np.greater_equal(acc, threshold, out=fires[i])
-                acc[fired] -= threshold
-            if not acc.min() >= 0:
-                raise RuntimeError("integrator charge went negative")
+            # A pixel fires when its charge since the block began reaches
+            # its next whole well: floor((total + acc) / threshold) exceeds
+            # its spikes so far, so it fires at most once per tick and
+            # carries any excess.  Wells are whole multiples of 255, so the
+            # comparison is exact.  total restarts from zero every block;
+            # the streams' rounding, pinned by the golden digests, depends
+            # on where.
+            for i, row in enumerate(rows):
+                total += row
+                np.add(total, acc, out=charge)
+                np.greater_equal(charge, next_well, out=fires[i])
+                next_well += threshold * fires[i]
+            out[lo:hi] = np.packbits(fires[: hi - lo], axis=1, bitorder="little")
 
-        out[start:stop] = np.packbits(fires[:b], axis=1, bitorder="little")
+        # charge holds the block's last tick; next_well - threshold is the
+        # charge fired away.  A pixel with no wells left unfired carries
+        # less than one well.
+        acc = charge - (next_well - threshold)
+        if not (acc.min() >= 0 and (acc[charge < next_well] < threshold).all()):
+            raise RuntimeError("integrator charge left outside [0, threshold)")
 
     return out
 

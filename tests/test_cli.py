@@ -363,6 +363,18 @@ def test_bench_runs_on_a_scene_directory(tmp_path, capsys):
     assert report_path.read_text().startswith("spikebench 1\nseed 3\nscenes tiny\n")
 
 
+def test_bench_report_names_a_non_ascii_scene(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    _write_pgm(scenes / "café.pgm", np.tile(np.linspace(64.0, 255.0, 16), (16, 1)))
+    report_path = tmp_path / "report.txt"
+    assert main([
+        "bench", "--scenes", str(scenes), "--seed", "3",
+        "--report", str(report_path),
+    ]) == 0
+    assert "scenes café\n" in report_path.read_text(encoding="utf-8")
+
+
 def test_bench_empty_scene_directory_is_a_data_error(tmp_path, capsys):
     scenes = tmp_path / "scenes"
     scenes.mkdir()

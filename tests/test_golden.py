@@ -79,6 +79,53 @@ def test_arrival_path_streams_are_golden(case, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# simulator per-tick path
+
+
+def _sweep_cell() -> SimulationRequest:
+    """One cell of the bench sweep: 96x96, 768 ticks, every noise source on."""
+    scene = make_scenes(96)[0].image
+    return SimulationRequest(
+        source=scene, theta=theta_for_density(scene, 0.25), length=768,
+        calib=synthetic_calibration(96, 96, seed=7), noise=NoiseConfig.all(7),
+    )
+
+
+def _sequence() -> SimulationRequest:
+    frames = np.random.default_rng(7).uniform(0.0, 255.0, (300, 12, 17))
+    return SimulationRequest(
+        source=frames, theta=0.4, length=300,
+        calib=synthetic_calibration(17, 12, seed=7), noise=NoiseConfig.all(7),
+    )
+
+
+def _backlog() -> SimulationRequest:
+    """Brighter than a well per tick, past one 1024-tick block: charge piles up across it."""
+    source = np.linspace(100.0, 255.0, 35).reshape(5, 7)
+    return SimulationRequest(
+        source=source, theta=1.5, length=1300,
+        calib=synthetic_calibration(7, 5, seed=7), noise=NoiseConfig.all(7),
+    )
+
+
+PER_TICK_CASES = {
+    "sweep_cell": (_sweep_cell, "e49f1122acd5355df18bece7aaf65e672075d471e04846bb7c0f678f4735d857"),
+    "sequence": (_sequence, "7deda9c90929ac97c24f24ca2a2f0aea2a11072c9749f784772657fb9cc48639"),
+    "backlog": (_backlog, "915eadb496e51bc718b9891713bd023e84dd91fb440f9124d3de101b8f5a12c3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_TICK_CASES))
+def test_per_tick_path_streams_are_golden(case, monkeypatch):
+    def arrival_path(*args):
+        raise AssertionError("request left the per-tick path")
+
+    monkeypatch.setattr(sys.modules["spikecam.simulate"], "_simulate_arrivals", arrival_path)
+    make_request, digest = PER_TICK_CASES[case]
+    assert _sha(simulate(make_request(), make_rng(11)).bits.tobytes()) == digest
+
+
+# ----------------------------------------------------------------------
 # spikecam reconstruct
 
 

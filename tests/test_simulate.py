@@ -465,3 +465,44 @@ def test_per_tick_path_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20
+
+
+def test_per_tick_path_matches_reference_from_bright_to_dim():
+    # Over a full well a tick for the first 1024-tick block piles up a
+    # backlog the reference integrates sequentially; the dim frames after
+    # it drain the backlog during the second block, so the reference's
+    # third block takes its cumulative-sum branch.  Quantization is off:
+    # its jitter can make one bright tick deposit ~1e11 counts, a backlog
+    # no dim tail drains.
+    h, w, length = 5, 7, 2100
+    frames = np.random.default_rng(6).uniform(5.0, 30.0, (length, h, w))
+    frames[:1024] += 240.0
+    calib = synthetic_calibration(w, h, seed=6)
+    req = SimulationRequest(
+        source=frames, theta=1.5, length=length, calib=calib,
+        noise=NoiseConfig(True, True, True, False, rng_seed=0),
+    )
+    _assert_ticks_match_reference(req, seed=13)
+    bits = sim_mod._simulate_ticks(req, calib, make_rng(13))
+    fires = np.unpackbits(bits, axis=1, count=h * w, bitorder="little")
+    assert fires[:1100].all()
+    assert fires[2048:].mean() < 0.5
+
+
+def test_per_tick_buffers_hold_one_chunk():
+    # 96x96 all-noise: a block is 434 ticks, a chunk 64; a block-sized
+    # deposit buffer alone would be 32 MB.
+    req = SimulationRequest(
+        source=np.random.default_rng(0).uniform(64.0, 255.0, (96, 96)),
+        theta=0.25,
+        length=768,
+        calib=synthetic_calibration(96, 96, seed=0),
+        noise=NoiseConfig.all(0),
+    )
+    tracemalloc.start()
+    try:
+        simulate(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
