@@ -16,18 +16,21 @@ carries any excess.  In exact arithmetic this is the sequential rule
 but the two round differently: on a noise-free seventh of a well they
 first disagree at tick 34, and the simulator follows the block sums.
 The sums restart every block of at most 1024 ticks (fewer on large
-sensors).  Deposits are drawn a chunk of at most 64 ticks at a time into
-one reused float64 buffer with a bool fire mask of the same shape,
-packed per chunk; each noise source keeps its own generator and draws
-tick-major, so the chunking does not change any variate.  The working
-set is that chunk, a few per-pixel vectors, one chunk's draw temporaries
-and the packed output.
+sensors).  Deposits are drawn a chunk of at most 64 ticks and about 1M
+pixel-ticks at a time into one reused float64 buffer with a bool fire
+mask of the same shape, packed per chunk; each noise source keeps its
+own generator and draws tick-major, so the chunking does not change any
+variate.  The working set is that chunk, a few per-pixel vectors, one
+chunk's draw temporaries and the packed output.
 
-For long static scenes with shot noise on and quantization off, the
-stream is instead constructed directly from the photon arrival process
-(one gamma variate per output spike rather than one Poisson variate per
+For static scenes with shot noise on and quantization off, the stream
+is instead constructed directly from the photon arrival process (one
+gamma variate per output spike rather than one Poisson variate per
 tick); the construction samples the same distribution over streams and
-is dramatically faster at calibration-scale lengths.
+is dramatically faster at calibration-scale lengths.  Pixels go in
+batches of about 25M spikes.  A batch holds 8 bytes per spike, the gap
+variates and then their running sums, plus one chunk of about 64k
+spikes' temporaries; the chunk size does not change any variate.
 """
 
 from __future__ import annotations
@@ -47,13 +50,21 @@ __all__ = ["SimulationRequest", "simulate", "simulate_ideal"]
 # pixel-ticks; the float rounding of the sums depends on these.
 _BLOCK_TICKS = 1024
 _BLOCK_BUDGET = 4_000_000
-# Ticks drawn per step, which bounds the deposit buffer and each draw's
-# temporaries.
+# Ticks drawn per step, fewer on sensors over 16k pixels so a chunk
+# spans at most ~1M pixel-ticks; this bounds the deposit buffer and each
+# draw's temporaries.
 _CHUNK_TICKS = 64
+_CHUNK_PIXEL_TICKS = 1 << 20
 
 # Discharge times are floored here after jitter so a very bright pixel
 # cannot produce a nonpositive discharge time.
 _MIN_DISCHARGE = 1e-9
+
+# The arrival path's gaps sum over batches of about this many spikes,
+# which fixes its realisation; a batch is worked a chunk at a time,
+# which does not change it.
+_BATCH_SPIKES = 25_000_000
+_CHUNK_SPIKES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -194,7 +205,7 @@ def _simulate_ticks(
         frames = req.source.reshape(req.source.shape[0], n_pixels)
 
     block = max(1, min(_BLOCK_TICKS, _BLOCK_BUDGET // max(1, n_pixels)))
-    chunk = min(_CHUNK_TICKS, block, length)
+    chunk = min(_CHUNK_TICKS, block, length, max(1, _CHUNK_PIXEL_TICKS // n_pixels))
     deposit = np.empty((chunk, n_pixels))
     fires = np.empty(deposit.shape, dtype=bool)
     acc = np.zeros(n_pixels)
@@ -261,6 +272,29 @@ def _simulate_ticks(
 # arrival-process path
 
 
+def _runs(counts: np.ndarray, budget: int):
+    """Cut pixels into runs wherever the spike count before a pixel
+    crosses a multiple of budget.
+
+    Yields (lo, hi, first, stop) for each run with spikes: pixels
+    [lo, hi) and the flat range [first, stop) their spikes take in
+    pixel order.
+    """
+    ends = np.cumsum(counts)
+    prior = ends - counts
+    cuts = np.flatnonzero(np.diff(prior // budget)) + 1
+    bounds = np.concatenate(([0], cuts, [counts.size])).tolist()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if ends[hi - 1] > prior[lo]:
+            yield lo, hi, int(prior[lo]), int(ends[hi - 1])
+
+
+def _spike_index(counts: np.ndarray) -> np.ndarray:
+    """Each flat spike's index within its pixel, from 0."""
+    prior = np.cumsum(counts) - counts
+    return np.arange(prior[-1] + counts[-1]) - np.repeat(prior, counts)
+
+
 def _simulate_arrivals(
     req: SimulationRequest, calib: CalibrationData, rng: np.random.Generator
 ) -> np.ndarray:
@@ -274,11 +308,18 @@ def _simulate_arrivals(
     partial sums of exponential gaps (gamma variates).  One spike per
     tick is enforced by pushing colliding spikes to the next free tick,
     matching the sequential carry rule.
+
+    Pixels go in batches of about _BATCH_SPIKES spikes, and the gaps'
+    running sums restart at each batch, so the batch budget fixes the
+    realisation.  A batch holds 8 bytes per spike, its gaps, and works
+    through them a chunk of about _CHUNK_SPIKES spikes at a time in two
+    passes: the first draws the gaps and sums them in place, the second
+    (after each pixel's tail gap) places, carries and scatters the
+    spikes.  The chunk size does not change any variate.
     """
     stream_rng = split_rng(rng, 3)[0]
     cfg = req.noise
     h, w = req.frame_shape
-    n_pixels = h * w
     length = req.length
 
     _, quantum = _effective_gain(calib, cfg)
@@ -295,71 +336,65 @@ def _simulate_arrivals(
     out = np.zeros((length, row_bytes), dtype=np.uint8)
     flat_out = out.reshape(-1)
 
-    # Pixels are processed in batches bounded by total spike count so
-    # the flat per-spike temporaries stay small.
-    batch_budget = 25_000_000
-    prior = np.concatenate(([0], np.cumsum(spikes)[:-1]))
-    boundaries = np.flatnonzero(np.diff(prior // batch_budget)) + 1
-    starts = np.concatenate(([0], boundaries, [n_pixels]))
-
-    for lo, hi in zip(starts[:-1], starts[1:]):
+    for lo, hi, first, stop in _runs(spikes, _BATCH_SPIKES):
         m_counts = spikes[lo:hi]
-        total_m = int(m_counts.sum())
-        if total_m == 0:
-            continue
+        q = quantum[lo:hi]
+        # Pass 1, a chunk at a time: a spike's gap shape is its threshold
+        # count ceil(m q) less the previous spike's; draw the gaps and sum
+        # them in place, carrying the last chunk's sum into the first gap
+        # so the float additions are those of one whole-batch cumsum.
+        csum = np.empty(stop - first)
+        for a, b, f0, f1 in _runs(m_counts, _CHUNK_SPIKES):
+            m0 = _spike_index(m_counts[a:b])
+            q_rep = np.repeat(q[a:b], m_counts[a:b])
+            shape = np.ceil((m0 + 1) * q_rep)
+            shape -= np.ceil(m0 * q_rep)
+            chunk = csum[f0:f1]
+            stream_rng.standard_gamma(shape, out=chunk)
+            if f0:
+                chunk[0] += csum[f0 - 1]
+            np.cumsum(chunk, out=chunk)
+
+        # Each pixel's sum up to its last spike, less the sum before its
+        # first.  Indexing with ends - 1 is safe for empty pixels because
+        # the value is discarded by the m_counts > 0 guard.
         ends = np.cumsum(m_counts)
         seg_start = ends - m_counts
-        seg_id = np.repeat(np.arange(hi - lo), m_counts)
-        m_index = np.arange(1, total_m + 1) - np.repeat(seg_start, m_counts)
-
-        q_rep = quantum[lo:hi][seg_id]
-        j_here = np.ceil(m_index * q_rep)
-        j_prev = np.empty_like(j_here)
-        j_prev[0] = 0.0
-        j_prev[1:] = j_here[:-1]
-        j_prev[seg_start[m_counts > 0]] = 0.0
-        gaps = stream_rng.standard_gamma(j_here - j_prev)
-
-        # Within-pixel cumulative sums over the flat layout.  Indexing
-        # with ends - 1 is safe for empty segments because the value is
-        # discarded by the m_counts > 0 guard.
-        csum = np.cumsum(gaps)
         offset = np.where(seg_start > 0, csum[seg_start - 1], 0.0)
-        partial = csum - np.repeat(offset, m_counts)
         upto_last = np.where(m_counts > 0, csum[ends - 1], 0.0) - offset
-
-        tail_shape = (
-            np.maximum(totals[lo:hi] - np.ceil(m_counts * quantum[lo:hi]), 0.0) + 1.0
-        )
+        tail_shape = np.maximum(totals[lo:hi] - np.ceil(m_counts * q), 0.0) + 1.0
         grand = upto_last + stream_rng.standard_gamma(tail_shape)
+        scale = float(length) / grand
 
-        positions = partial * (float(length) / np.repeat(grand, m_counts))
-        # floor(pos) equals ceil(pos) - 1 for the almost-surely
-        # non-integer positions in (0, length).
-        ticks = positions.astype(np.int64)
-        np.clip(ticks, 0, length - 1, out=ticks)
+        # Pass 2: place, carry and scatter the spikes chunk by chunk.
+        for a, b, f0, f1 in _runs(m_counts, _CHUNK_SPIKES):
+            counts = m_counts[a:b]
+            pix = np.repeat(np.arange(b - a), counts)
+            positions = csum[f0:f1] - np.repeat(offset[a:b], counts)
+            positions *= np.repeat(scale[a:b], counts)
+            # floor(pos) equals ceil(pos) - 1 for the almost-surely
+            # non-integer positions in (0, length).
+            ticks = positions.astype(np.int64)
+            np.clip(ticks, 0, length - 1, out=ticks)
 
-        # Segmented running max of (tick - spike_index) enforces the
-        # one-spike-per-tick carry rule without a Python loop.
-        m0 = m_index - 1
-        span = length + int(m_counts.max()) + 2
-        seg_off = np.repeat(np.arange(hi - lo, dtype=np.int64) * span, m_counts)
-        shifted = (ticks - m0) + seg_off
-        np.maximum.accumulate(shifted, out=shifted)
-        ticks = shifted - seg_off
-        ticks += m0
-        keep = ticks < length
-        final_ticks = ticks[keep]
-        final_pix = seg_id[keep]
-        final_pix += lo
+            # Segmented running max of (tick - spike_index) enforces the
+            # one-spike-per-tick carry rule without a Python loop.
+            shift = pix * (length + int(counts.max()) + 2) - _spike_index(counts)
+            ticks += shift
+            np.maximum.accumulate(ticks, out=ticks)
+            ticks -= shift
+            keep = ticks < length
+            final_ticks = ticks[keep]
+            final_pix = pix[keep]
+            final_pix += lo + a
 
-        # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3), in
-        # place: the index arrays are the largest temporaries here.
-        mask = final_pix.astype(np.uint8)
-        mask &= 7
-        np.left_shift(1, mask, out=mask)
-        final_pix >>= 3
-        final_ticks *= row_bytes
-        final_ticks += final_pix
-        np.bitwise_or.at(flat_out, final_ticks, mask)
+            # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3), in
+            # place.
+            mask = final_pix.astype(np.uint8)
+            mask &= 7
+            np.left_shift(1, mask, out=mask)
+            final_pix >>= 3
+            final_ticks *= row_bytes
+            final_ticks += final_pix
+            np.bitwise_or.at(flat_out, final_ticks, mask)
     return out

@@ -8,8 +8,10 @@ updates the digest and says so in CHANGES.md.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,36 @@ def test_arrival_path_streams_are_golden(case, monkeypatch):
     requests = _calibrate_scenes() if case == "calibrate" else [_band()]
     digests = [_sha(simulate(req, make_rng(11 + k)).bits.tobytes()) for k, req in enumerate(requests)]
     assert digests == ARRIVAL_DIGESTS[case]
+
+
+# The band with its first 3 columns and last 5 pixels dark, in batches of
+# 100,000 spikes: about 20 batches over 2,030,710 spikes.
+MULTI_BATCH_DIGEST = "429eca152984385b50bd436c35a4a2d76fc4aaa62eac4418c88595f470041d10"
+
+
+def test_arrival_path_is_golden_across_batches(monkeypatch):
+    sim_mod = sys.modules["spikecam.simulate"]
+    monkeypatch.setattr(sim_mod, "_BATCH_SPIKES", 100_000)
+    req = _band()
+    source = req.source.copy()
+    source[:, :3] = 0.0
+    source.reshape(-1)[-5:] = 0.0
+    stream = simulate(dataclasses.replace(req, source=source), make_rng(11))
+    assert int(np.bitwise_count(stream.bits).sum()) == 2_030_710
+    assert _sha(stream.bits.tobytes()) == MULTI_BATCH_DIGEST
+
+
+def test_arrival_path_memory_stays_bounded():
+    # 2.31M spikes in one batch: its gaps take 17.6 MiB, where the
+    # per-spike temporaries of a whole batch took 270 MiB.
+    req = _calibrate_scenes()[2]
+    tracemalloc.start()
+    try:
+        simulate(req, make_rng(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 # ----------------------------------------------------------------------

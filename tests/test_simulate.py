@@ -506,3 +506,53 @@ def test_per_tick_buffers_hold_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_per_tick_chunk_stays_under_a_pixel_budget():
+    # 400x248: a block is 40 ticks; a block-long chunk made the deposit
+    # buffer, the Poisson input and output and the quantization's
+    # temporaries each 30 MiB.
+    req = SimulationRequest(
+        source=np.random.default_rng(0).uniform(64.0, 255.0, (248, 400)),
+        theta=0.25,
+        length=48,
+        calib=synthetic_calibration(400, 248, seed=0),
+        noise=NoiseConfig.all(0),
+    )
+    tracemalloc.start()
+    try:
+        simulate(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
+# ----------------------------------------------------------------------
+# arrival path chunks
+
+
+def test_arrival_stream_does_not_depend_on_chunk_size(monkeypatch):
+    # Every other pixel is dark, the first and last too, so dark pixels
+    # start chunks, end them and fill whole one-spike chunks' gaps.
+    h, w = 24, 37
+    source = np.random.default_rng(3).uniform(40.0, 255.0, (h, w))
+    source.reshape(-1)[::2] = 0.0
+    source.reshape(-1)[-1] = 0.0
+    req = SimulationRequest(
+        source=source, theta=0.6, length=600, calib=identity_calibration(w, h),
+        noise=NoiseConfig(enable_quantization=False, rng_seed=3),
+    )
+
+    def per_tick_path(*args):
+        raise AssertionError("request left the arrival path")
+
+    monkeypatch.setattr(sim_mod, "_simulate_ticks", per_tick_path)
+    streams = []
+    for chunk in (1, 3000, 2**40):
+        monkeypatch.setattr(sim_mod, "_CHUNK_SPIKES", chunk)
+        streams.append(simulate(req, make_rng(5)).bits.tobytes())
+    counts = simulate(req, make_rng(5)).count_map(0, req.length).reshape(-1)
+    assert counts[0] == counts[-1] == 0 and counts[1:-1:2].all()
+    assert counts.sum() > 3 * 3000
+    assert streams[0] == streams[1] == streams[2]
