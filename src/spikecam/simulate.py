@@ -388,8 +388,7 @@ def _simulate_arrivals(
             final_pix = pix[keep]
             final_pix += lo + a
 
-            # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3), in
-            # place.
+            # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3) in place.
             mask = final_pix.astype(np.uint8)
             mask &= 7
             np.left_shift(1, mask, out=mask)
