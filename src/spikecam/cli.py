@@ -90,18 +90,22 @@ def _parse_ticks(text: str) -> list[int]:
         raise UsageError(f"--at expects comma-separated tick numbers, got {text!r}")
 
 
-def _add_stream_input(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("stream", help="spike stream file")
+def _add_raw_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--raw",
         metavar="WxH",
-        help="treat the file as a headerless packed dump with these dimensions",
+        help="read stream files as headerless packed dumps with these dimensions",
     )
     parser.add_argument(
         "--msb-first",
         action="store_true",
-        help="raw dump packs the most significant bit first",
+        help="raw dumps pack the most significant bit first",
     )
+
+
+def _add_stream_input(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("stream", help="spike stream file")
+    _add_raw_flags(parser)
 
 
 def _load_stream(path: str, raw: str | None, msb_first: bool) -> SpikeStream:
@@ -120,6 +124,14 @@ def _load_stream(path: str, raw: str | None, msb_first: bool) -> SpikeStream:
         )
         stream = center_crop(stream, w8, h8)
     return stream
+
+
+def _require_one_size(shapes: dict[str, tuple[int, int]]) -> None:
+    """Raise FormatError unless every named input has the first's (height, width)."""
+    (first, (h0, w0)), *rest = shapes.items()
+    for name, (h, w) in rest:
+        if (h, w) != (h0, w0):
+            raise FormatError(f"{name} is {w}x{h} but {first} is {w0}x{h0}")
 
 
 def _read_calibration(path: str, shape: tuple[int, int]) -> CalibrationData:
@@ -145,7 +157,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         frames = sorted(Path(args.sequence).glob("*.pgm"))
         if not frames:
             raise FormatError(f"no .pgm frames found in {args.sequence}")
-        source = np.stack([read_image(f) for f in frames])
+        images = [read_image(f) for f in frames]
+        _require_one_size({str(f): image.shape for f, image in zip(frames, images)})
+        source = np.stack(images)
     calib = _read_calibration(args.calib, source.shape[-2:]) if args.calib else None
     noise = _parse_noise(args.noise, args.seed)
     req = SimulationRequest(
@@ -170,6 +184,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     dark = _load_stream(args.dark, args.raw, args.msb_first)
     light1 = _load_stream(path1, args.raw, args.msb_first)
     light2 = _load_stream(path2, args.raw, args.msb_first)
+    _require_one_size({
+        path: (s.height, s.width)
+        for path, s in ((args.dark, dark), (path1, light1), (path2, light2))
+    })
     calib = build_calibration(dark, light1, L_1, light2, L_2)
     write_calibration(calib, args.out)
     return 0
@@ -208,6 +226,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not files:
             raise FormatError(f"no .pgm scenes found in {args.scenes}")
         scenes = [Scene(f.stem, read_image(f)) for f in files]
+        _require_one_size({str(f): scene.image.shape for f, scene in zip(files, scenes)})
     else:
         scenes = make_scenes()
     height, width = scenes[0].image.shape
@@ -271,8 +290,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dark", required=True, help="lens-capped recording")
     p.add_argument("--light1", required=True, metavar="FILE:L1", help="uniform scene at intensity L1")
     p.add_argument("--light2", required=True, metavar="FILE:L2", help="uniform scene at intensity L2")
-    p.add_argument("--raw", metavar="WxH", help="recordings are headerless packed dumps")
-    p.add_argument("--msb-first", action="store_true", help="raw dumps pack the most significant bit first")
+    _add_raw_flags(p)
     p.add_argument("--out", required=True, help="output calibration document")
     p.set_defaults(func=_cmd_calibrate)
 
@@ -304,25 +322,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Exit code per exception type; the first type an error is an instance of wins.
+_EXIT_CODES = {
+    UsageError: 1,
+    FormatError: 2,
+    CalibrationError: 3,
+    OSError: 2,
+    ValueError: 1,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -27,14 +27,16 @@ For static scenes with shot noise on and quantization off, the stream
 is instead constructed directly from the photon arrival process (one
 gamma variate per output spike rather than one Poisson variate per
 tick); the construction samples the same distribution over streams and
-is dramatically faster at calibration-scale lengths.  Pixels go in
-batches of about 25M spikes.  A batch holds 8 bytes per spike, the gap
-variates and then their running sums, plus one chunk of about 64k
-spikes' temporaries; the chunk size does not change any variate.
+is dramatically faster at calibration-scale lengths.  Its variates are
+drawn in one fixed order, pixel by pixel in stable order of spike
+count, and worked a chunk of about 64k spikes at a time; the chunk
+budget changes no variate.  The working set is that chunk, a few
+per-pixel vectors and the packed output.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,10 +62,8 @@ _CHUNK_PIXEL_TICKS = 1 << 20
 # cannot produce a nonpositive discharge time.
 _MIN_DISCHARGE = 1e-9
 
-# The arrival path's gaps sum over batches of about this many spikes,
-# which fixes its realisation; a batch is worked a chunk at a time,
-# which does not change it.
-_BATCH_SPIKES = 25_000_000
+# Cells (spikes plus one tail per pixel, padded) the arrival path works
+# on at a time; this bounds its temporaries and changes no variate.
 _CHUNK_SPIKES = 1 << 16
 
 
@@ -272,29 +272,6 @@ def _simulate_ticks(
 # arrival-process path
 
 
-def _runs(counts: np.ndarray, budget: int):
-    """Cut pixels into runs wherever the spike count before a pixel
-    crosses a multiple of budget.
-
-    Yields (lo, hi, first, stop) for each run with spikes: pixels
-    [lo, hi) and the flat range [first, stop) their spikes take in
-    pixel order.
-    """
-    ends = np.cumsum(counts)
-    prior = ends - counts
-    cuts = np.flatnonzero(np.diff(prior // budget)) + 1
-    bounds = np.concatenate(([0], cuts, [counts.size])).tolist()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if ends[hi - 1] > prior[lo]:
-            yield lo, hi, int(prior[lo]), int(ends[hi - 1])
-
-
-def _spike_index(counts: np.ndarray) -> np.ndarray:
-    """Each flat spike's index within its pixel, from 0."""
-    prior = np.cumsum(counts) - counts
-    return np.arange(prior[-1] + counts[-1]) - np.repeat(prior, counts)
-
-
 def _simulate_arrivals(
     req: SimulationRequest, calib: CalibrationData, rng: np.random.Generator
 ) -> np.ndarray:
@@ -309,13 +286,15 @@ def _simulate_arrivals(
     tick is enforced by pushing colliding spikes to the next free tick,
     matching the sequential carry rule.
 
-    Pixels go in batches of about _BATCH_SPIKES spikes, and the gaps'
-    running sums restart at each batch, so the batch budget fixes the
-    realisation.  A batch holds 8 bytes per spike, its gaps, and works
-    through them a chunk of about _CHUNK_SPIKES spikes at a time in two
-    passes: the first draws the gaps and sums them in place, the second
-    (after each pixel's tail gap) places, carries and scatters the
-    spikes.  The chunk size does not change any variate.
+    Each spiking pixel is one row of a zero-padded array: the gamma
+    shapes of its gaps, then of its tail (the photons after its last
+    spike, plus one).  Rows go in stable order of spike count, so the
+    counts alone fix the order.  A gamma variate of shape 0 draws
+    nothing, so the gaps are drawn pixel by pixel in that one fixed
+    order, and a running sum or carry along a row restarts at each
+    pixel.  Rows are worked a run at a time, each run padded to its
+    widest row and within _CHUNK_SPIKES cells (or one row); the chunk
+    budget changes no variate.
     """
     stream_rng = split_rng(rng, 3)[0]
     cfg = req.noise
@@ -336,64 +315,59 @@ def _simulate_arrivals(
     out = np.zeros((length, row_bytes), dtype=np.uint8)
     flat_out = out.reshape(-1)
 
-    for lo, hi, first, stop in _runs(spikes, _BATCH_SPIKES):
-        m_counts = spikes[lo:hi]
-        q = quantum[lo:hi]
-        # Pass 1, a chunk at a time: a spike's gap shape is its threshold
-        # count ceil(m q) less the previous spike's; draw the gaps and sum
-        # them in place, carrying the last chunk's sum into the first gap
-        # so the float additions are those of one whole-batch cumsum.
-        csum = np.empty(stop - first)
-        for a, b, f0, f1 in _runs(m_counts, _CHUNK_SPIKES):
-            m0 = _spike_index(m_counts[a:b])
-            q_rep = np.repeat(q[a:b], m_counts[a:b])
-            shape = np.ceil((m0 + 1) * q_rep)
-            shape -= np.ceil(m0 * q_rep)
-            chunk = csum[f0:f1]
-            stream_rng.standard_gamma(shape, out=chunk)
-            if f0:
-                chunk[0] += csum[f0 - 1]
-            np.cumsum(chunk, out=chunk)
+    order = np.argsort(spikes, kind="stable")
+    widths = (spikes[order] + 1).tolist()
+    n_rows = len(widths)
+    a = int(np.count_nonzero(spikes == 0))
+    while a < n_rows:
+        # The longest run from row a whose rows, padded to the last and
+        # widest, fit the budget.
+        fit = bisect_right(
+            range(a + 1, n_rows + 1), _CHUNK_SPIKES, key=lambda b: (b - a) * widths[b - 1]
+        )
+        b = a + max(fit, 1)
+        pix = order[a:b]
+        m = spikes[pix][:, None]
+        k = np.arange(widths[b - 1])
+        a = b
 
-        # Each pixel's sum up to its last spike, less the sum before its
-        # first.  Indexing with ends - 1 is safe for empty pixels because
-        # the value is discarded by the m_counts > 0 guard.
-        ends = np.cumsum(m_counts)
-        seg_start = ends - m_counts
-        offset = np.where(seg_start > 0, csum[seg_start - 1], 0.0)
-        upto_last = np.where(m_counts > 0, csum[ends - 1], 0.0) - offset
-        tail_shape = np.maximum(totals[lo:hi] - np.ceil(m_counts * q), 0.0) + 1.0
-        grand = upto_last + stream_rng.standard_gamma(tail_shape)
-        scale = float(length) / grand
+        # A spike's gap shape is its threshold count ceil((k + 1) q) less
+        # the previous spike's.  The wells stop rising at the last spike,
+        # so every shape past it is 0 but the tail's.
+        wells = np.ceil(np.minimum(np.arange(k.size + 1), m) * quantum[pix][:, None])
+        shapes = np.diff(wells, axis=1)
+        tail = np.maximum(totals[pix][:, None] - wells[:, -1:], 0.0)
+        np.put_along_axis(shapes, m, tail + 1.0, axis=1)
+        positions = stream_rng.standard_gamma(shapes)
+        np.cumsum(positions, axis=1, out=positions)
+        # The padding adds zeros, so the last column is each row's sum
+        # through its tail.
+        positions *= float(length) / positions[:, -1:]
+        # floor(pos) equals ceil(pos) - 1 for the almost-surely
+        # non-integer positions in (0, length).
+        ticks = positions.astype(np.int64)
+        np.minimum(ticks, length - 1, out=ticks)
 
-        # Pass 2: place, carry and scatter the spikes chunk by chunk.
-        for a, b, f0, f1 in _runs(m_counts, _CHUNK_SPIKES):
-            counts = m_counts[a:b]
-            pix = np.repeat(np.arange(b - a), counts)
-            positions = csum[f0:f1] - np.repeat(offset[a:b], counts)
-            positions *= np.repeat(scale[a:b], counts)
-            # floor(pos) equals ceil(pos) - 1 for the almost-surely
-            # non-integer positions in (0, length).
-            ticks = positions.astype(np.int64)
-            np.clip(ticks, 0, length - 1, out=ticks)
+        # A running max of (tick - spike index) along each row enforces
+        # the one-spike-per-tick carry rule without a Python loop.
+        ticks -= k
+        np.maximum.accumulate(ticks, axis=1, out=ticks)
+        ticks += k
+        keep = (ticks < length) & (k < m)
 
-            # Segmented running max of (tick - spike_index) enforces the
-            # one-spike-per-tick carry rule without a Python loop.
-            shift = pix * (length + int(counts.max()) + 2) - _spike_index(counts)
-            ticks += shift
-            np.maximum.accumulate(ticks, out=ticks)
-            ticks -= shift
-            keep = ticks < length
-            final_ticks = ticks[keep]
-            final_pix = pix[keep]
-            final_pix += lo + a
-
-            # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3) in place.
-            mask = final_pix.astype(np.uint8)
-            mask &= 7
-            np.left_shift(1, mask, out=mask)
-            final_pix >>= 3
-            final_ticks *= row_bytes
-            final_ticks += final_pix
-            np.bitwise_or.at(flat_out, final_ticks, mask)
+        # Set bit (pix & 7) of byte tick * row_bytes + (pix >> 3) in stream
+        # order: rows in count order lie all over the sensor, and unsorted
+        # writes miss the cache.  Two pixels of one byte can fire on one
+        # tick; a buffered |= may keep either's bit, so OR all such again.
+        ticks *= 8 * row_bytes
+        ticks += pix[:, None]
+        place = ticks[keep]
+        place.sort()
+        bits = (place & 7).astype(np.uint8)
+        np.left_shift(1, bits, out=bits)
+        place >>= 3
+        flat_out[place] |= bits
+        twin = np.flatnonzero(place[1:] == place[:-1])
+        twin = np.concatenate((twin, twin + 1))
+        np.bitwise_or.at(flat_out, place[twin], bits[twin])
     return out

@@ -151,6 +151,40 @@ def test_bench_calibration_shape_mismatch_is_a_data_error(tmp_path, capsys):
     ], capsys)
 
 
+def _assert_size_mismatch_is_a_data_error(argv, small, large, capsys):
+    assert main(argv) == 2
+    assert f"error: {large} is 24x24 but {small} is 16x16" in capsys.readouterr().err
+
+
+def test_bench_scenes_of_two_sizes_are_a_data_error(tmp_path, capsys):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    small = _write_pgm(scenes / "a.pgm", _gradient(16, 16))
+    large = _write_pgm(scenes / "b.pgm", _gradient(24, 24))
+    _assert_size_mismatch_is_a_data_error(["bench", "--scenes", str(scenes)], small, large, capsys)
+
+
+def test_simulate_sequence_frames_of_two_sizes_are_a_data_error(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    small = _write_pgm(frames / "000.pgm", _gradient(16, 16))
+    large = _write_pgm(frames / "001.pgm", _gradient(24, 24))
+    _assert_size_mismatch_is_a_data_error([
+        "simulate", "--sequence", str(frames), "--length", "2", "--out", str(tmp_path / "s.spk"),
+    ], small, large, capsys)
+
+
+def test_calibrate_recordings_of_two_sizes_are_a_data_error(tmp_path, capsys):
+    dark = tmp_path / "dark.spk"
+    light = tmp_path / "light.spk"
+    write_stream(_periodic_stream(5, 40), str(dark))
+    write_stream(_periodic_stream(4, 40, width=24, height=24), str(light))
+    _assert_size_mismatch_is_a_data_error([
+        "calibrate", "--dark", str(dark), "--light1", f"{dark}:51",
+        "--light2", f"{light}:63.75", "--out", str(tmp_path / "sensor.cal"),
+    ], dark, light, capsys)
+
+
 # ----------------------------------------------------------------------
 # eval
 

@@ -61,11 +61,11 @@ def _band() -> SimulationRequest:
 
 ARRIVAL_DIGESTS = {
     "calibrate": [
-        "751a359ed33a2dc21cc808b403441bae4c84f801cbf20491c66d1091c335e4e7",
-        "2f724585cefacc9d718f3b4234d5e549a84cf4c7beb0de2850e4e1a18b4502be",
-        "4cc4f74d6e72574ac248d76fa1923339758770230a88e86eb21d85ba0847da1a",
+        "6f7de0511db55e33674a6178c02a354aac7379ddec8cef0729f6cf616ef15c79",
+        "9b3a65e5b6a1d825fae9c01e0c97ef845791f53cf4ef6e7b0a8e42339831f314",
+        "b5f39a05dea2c1eb127b1e524408ddaf99f81885591d3b083d792dd03d2fe003",
     ],
-    "band": ["7795660f99ee48ef4759055128d36230989d642b9b93a2b282e4e70e631419b8"],
+    "band": ["4a2bd518645bd8acb1e826f430b04d3c7dd457c30d862f5b667f0be901c98dc6"],
 }
 
 
@@ -80,21 +80,23 @@ def test_arrival_path_streams_are_golden(case, monkeypatch):
     assert digests == ARRIVAL_DIGESTS[case]
 
 
-# The band with its first 3 columns and last 5 pixels dark, in batches of
-# 100,000 spikes: about 20 batches over 2,030,710 spikes.
-MULTI_BATCH_DIGEST = "429eca152984385b50bd436c35a4a2d76fc4aaa62eac4418c88595f470041d10"
+# The band with its first 3 columns and last 5 pixels dark.
+MULTI_CHUNK_DIGEST = "75790a879e3b9ff14ad72a4328198222362c9889a15eb81481470c949c64be17"
 
 
-def test_arrival_path_is_golden_across_batches(monkeypatch):
+def test_arrival_path_is_golden_across_chunks(monkeypatch):
     sim_mod = sys.modules["spikecam.simulate"]
-    monkeypatch.setattr(sim_mod, "_BATCH_SPIKES", 100_000)
     req = _band()
     source = req.source.copy()
     source[:, :3] = 0.0
     source.reshape(-1)[-5:] = 0.0
-    stream = simulate(dataclasses.replace(req, source=source), make_rng(11))
-    assert int(np.bitwise_count(stream.bits).sum()) == 2_030_710
-    assert _sha(stream.bits.tobytes()) == MULTI_BATCH_DIGEST
+    req = dataclasses.replace(req, source=source)
+    # Each spike takes a cell, so over 20 chunks at either budget.
+    for budget in (sim_mod._CHUNK_SPIKES, 100_000):
+        monkeypatch.setattr(sim_mod, "_CHUNK_SPIKES", budget)
+        stream = simulate(req, make_rng(11))
+        assert int(np.bitwise_count(stream.bits).sum()) == 2_030_710 > 20 * budget
+        assert _sha(stream.bits.tobytes()) == MULTI_CHUNK_DIGEST
 
 
 def test_arrival_path_memory_stays_bounded():
@@ -108,6 +110,21 @@ def test_arrival_path_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 48 * 2**20
+
+
+@pytest.mark.parametrize("length", [2048, 8192])
+def test_arrival_memory_does_not_grow_with_spike_count(length):
+    # Past the packed stream, only per-pixel vectors and one chunk's
+    # temporaries: about 4 MiB at either length, where gaps held for the
+    # whole scene took 23 and 77 MiB.
+    req = dataclasses.replace(_calibrate_scenes()[2], length=length)
+    tracemalloc.start()
+    try:
+        stream = simulate(req, make_rng(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - stream.bits.nbytes <= 8 * 2**20
 
 
 # ----------------------------------------------------------------------

@@ -450,23 +450,6 @@ def test_per_tick_path_matches_reference_on_a_noise_free_seventh_of_a_well():
     assert (sim_mod._simulate_ticks(req, identity_calibration(9, 6), make_rng(0)) != 0).any()
 
 
-def test_per_tick_path_memory_stays_bounded():
-    req = SimulationRequest(
-        source=np.random.default_rng(0).uniform(64.0, 255.0, (96, 96)),
-        theta=0.25,
-        length=768,
-        calib=synthetic_calibration(96, 96, seed=0),
-        noise=NoiseConfig.all(0),
-    )
-    tracemalloc.start()
-    try:
-        simulate(req)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 64 * 2**20
-
-
 def test_per_tick_path_matches_reference_from_bright_to_dim():
     # Over a full well a tick for the first 1024-tick block piles up a
     # backlog the reference integrates sequentially; the dim frames after
