@@ -39,6 +39,7 @@ from .noise import NoiseConfig
 from .reconstruct import reconstruct
 from .simulate import SimulationRequest, simulate
 from .streams import SpikeStream
+from .wavelet import PYRAMID_LEVELS
 
 
 class UsageError(ValueError):
@@ -179,11 +180,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"bad intensity {level!r} in {spec!r}")
 
+    def load(path: str) -> SpikeStream:
+        stream = _load_stream(path, args.raw, args.msb_first)
+        if stream.length == 0:
+            raise FormatError(f"{path} is a recording of 0 ticks")
+        return stream
+
     path1, L_1 = lit(args.light1)
     path2, L_2 = lit(args.light2)
-    dark = _load_stream(args.dark, args.raw, args.msb_first)
-    light1 = _load_stream(path1, args.raw, args.msb_first)
-    light2 = _load_stream(path2, args.raw, args.msb_first)
+    dark, light1, light2 = load(args.dark), load(path1), load(path2)
     _require_one_size({
         path: (s.height, s.width)
         for path, s in ((args.dark, dark), (path1, light1), (path2, light2))
@@ -196,16 +201,22 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     stream = _load_stream(args.stream, args.raw, args.msb_first)
     ticks = _parse_ticks(args.at)
+    # Both checks come before any calibration of the stream's size is built.
+    for t in ticks:
+        if not 0 <= t < stream.length:
+            raise UsageError(f"tick {t} outside stream of length {stream.length}")
+    div = 2**PYRAMID_LEVELS
+    if args.method == "rsir" and (stream.width % div or stream.height % div):
+        raise FormatError(
+            f"{args.stream} is {stream.width}x{stream.height}; "
+            f"rsir needs both sides divisible by {div}"
+        )
     if args.calib:
         calib = _read_calibration(args.calib, (stream.height, stream.width))
     else:
         calib = identity_calibration(stream.width, stream.height, clock=stream.clock)
     method = "recurrent" if args.method == "rsir" else args.method
-    try:
-        images = reconstruct(stream, method, ticks, calib, window=args.window)
-    except IndexError as exc:
-        # A tick outside the stream is a bad argument, not a crash.
-        raise UsageError(str(exc)) from exc
+    images = reconstruct(stream, method, ticks, calib, window=args.window)
     for t, image in zip(ticks, images):
         path = f"{args.out_prefix}{t:06d}.pgm"
         write_image(np.clip(image, 0.0, 255.0), path, bit_depth=16)
@@ -216,7 +227,12 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     gt = read_image(args.gt)
     pred = read_image(args.pred)
-    print(f"psnr={round(psnr(gt, pred), 4)} ssim={round(ssim(gt, pred), 6)}")
+    _require_one_size({args.gt: gt.shape, args.pred: pred.shape})
+    try:
+        print(f"psnr={round(psnr(gt, pred), 4)} ssim={round(ssim(gt, pred), 6)}")
+    except ValueError as exc:
+        # ssim's minimum size is a property of the input files
+        raise FormatError(f"{args.gt}: {exc}") from exc
     return 0
 
 

@@ -116,13 +116,11 @@ def read_stream(path) -> SpikeStream:
             f"payload is {payload} bytes, header implies {expected} "
             f"({width}x{height}x{length})"
         )
-    # A view into the file's bytes: SpikeStream keeps it without a copy.
+    # A read-only view into the file's bytes, handed to the stream as is.
     bits = np.frombuffer(raw, dtype=np.uint8, offset=_SPIKE_HEADER.size).reshape(
         length, frame_bytes(width, height)
     )
-    return SpikeStream.from_packed(
-        bits, width, height, clock=ClockParams(tick_seconds=tick_ns / 1e9)
-    )
+    return SpikeStream(width, height, length, ClockParams(tick_seconds=tick_ns / 1e9), bits)
 
 
 def read_raw_stream(
@@ -137,7 +135,8 @@ def read_raw_stream(
 
     The payload is assumed row-major with 8 pixels per byte; bit order is
     least-significant-first unless msb_first is set.  The file must hold a
-    whole number of frames.
+    whole number of frames.  The stream keeps the file's bytes without a
+    copy; msb_first makes one bit-reversed copy of them.
     """
     if width <= 0 or height <= 0:
         raise FormatError(f"invalid raw dimensions {width}x{height}")
@@ -152,11 +151,11 @@ def read_raw_stream(
     bits = np.frombuffer(raw, dtype=np.uint8).reshape(-1, nbytes)
     if msb_first:
         bits = _BIT_REVERSE[bits]
-    return SpikeStream.from_packed(bits, width, height, clock=clock)
+    return SpikeStream(width, height, len(bits), clock or ClockParams(), bits)
 
 
 def center_crop(stream: SpikeStream, width: int, height: int) -> SpikeStream:
-    """Crop every frame to a centered width x height window."""
+    """Crop every frame to a centered width x height window, 4 MiB at a time."""
     if not (0 < width <= stream.width and 0 < height <= stream.height):
         raise ValueError(
             f"crop {width}x{height} does not fit inside {stream.width}x{stream.height}"
@@ -165,15 +164,13 @@ def center_crop(stream: SpikeStream, width: int, height: int) -> SpikeStream:
         return stream
     x0 = (stream.width - width) // 2
     y0 = (stream.height - height) // 2
-    chunks = []
+    bits = np.empty((stream.length, frame_bytes(width, height)), np.uint8)
     step = max(1, (1 << 22) // (stream.width * stream.height))
     for lo in range(0, stream.length, step):
         hi = min(lo + step, stream.length)
         dense = stream.to_dense(lo, hi)[:, y0 : y0 + height, x0 : x0 + width]
-        chunks.append(np.packbits(dense.reshape(hi - lo, -1), axis=1, bitorder="little"))
-    if not chunks:
-        chunks.append(np.zeros((0, frame_bytes(width, height)), np.uint8))
-    return SpikeStream.from_packed(np.concatenate(chunks), width, height, clock=stream.clock)
+        bits[lo:hi] = np.packbits(dense.reshape(hi - lo, -1), axis=1, bitorder="little")
+    return SpikeStream(width, height, stream.length, stream.clock, bits)
 
 
 # ----------------------------------------------------------------------

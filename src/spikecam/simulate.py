@@ -154,7 +154,7 @@ def simulate(
     else:
         bits = _simulate_ticks(req, calib, rng)
     h, w = req.frame_shape
-    return SpikeStream.from_packed(bits, width=w, height=h, clock=calib.clock)
+    return SpikeStream(w, h, req.length, calib.clock, bits)
 
 
 def simulate_ideal(

@@ -49,15 +49,6 @@ _LOWEST_BIT = np.array([max((i & -i).bit_length() - 1, 0) for i in range(256)], 
 _HIGHEST_BIT = np.array([max(i.bit_length() - 1, 0) for i in range(256)], dtype=np.uint8)
 
 
-def _in_bytes(array: np.ndarray) -> bool:
-    """True when the array's memory is an immutable bytes object."""
-    while isinstance(array, np.ndarray):
-        if array.flags.writeable:
-            return False
-        array = array.base
-    return isinstance(array, bytes)
-
-
 def frame_bytes(width: int, height: int) -> int:
     """Packed size of one binary frame in bytes."""
     return (width * height + 7) // 8
@@ -69,10 +60,9 @@ class SpikeStream:
 
     bits has shape (length, frame_bytes(width, height)) with dtype uint8.
     Within a frame, bit index y*width + x holds pixel (x, y); bit 0 of each
-    byte is the lowest pixel index.  Construct with from_dense() or
-    from_packed(); arrays are copied and frozen so streams can be shared.
-    A payload that lives in an immutable bytes object with its padding
-    bits clear, as read_stream makes, is used as is.
+    byte is the lowest pixel index.  The constructor takes over and freezes
+    the array it is given, copying only to clear padding bits, so it never
+    writes into a caller's memory; from_packed() copies its input first.
     """
 
     width: int
@@ -98,7 +88,7 @@ class SpikeStream:
                 raise ValueError(
                     f"packed payload has shape {bits.shape}, expected {(self.length, nbytes)}"
                 )
-            if not _in_bytes(bits) or (bits[:, -1] > used).any():
+            if (bits[:, -1] > used).any():
                 bits = bits.copy()
                 bits[:, -1] &= used
         bits.flags.writeable = False
@@ -134,7 +124,8 @@ class SpikeStream:
         height: int,
         clock: ClockParams | None = None,
     ) -> "SpikeStream":
-        packed = np.asarray(packed, dtype=np.uint8)
+        """Copy a (length, frame_bytes) uint8 payload into a new stream."""
+        packed = np.array(packed, dtype=np.uint8)
         if packed.ndim != 2:
             raise ValueError(f"packed payload must be 2-d (t, bytes), got shape {packed.shape}")
         return cls(

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import os
 import stat
+import struct
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from spikecam.bench import DEFAULT_METHODS, Scene, run_benchmark, synthetic_cali
 from spikecam.cli import main
 from spikecam.calibration import make_calibration
 from spikecam.formats import (
+    SPIKE_MAGIC,
     read_calibration,
     read_image,
     write_calibration,
@@ -205,6 +208,30 @@ def test_eval_reports_offset_psnr(tmp_path, capsys):
     assert value == pytest.approx(20.0 * np.log10(255.0 / 16.0), abs=1e-3)
 
 
+def _assert_one_error_line(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_eval_images_of_two_sizes_are_a_data_error(tmp_path, capsys):
+    small = _write_pgm(tmp_path / "a.pgm", _gradient(16, 16))
+    large = _write_pgm(tmp_path / "b.pgm", _gradient(24, 24))
+    assert main(["eval", "--gt", small, "--pred", large]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert f"error: {large} is 24x24 but {small} is 16x16" in err
+
+
+def test_eval_images_below_the_ssim_window_are_a_data_error(tmp_path, capsys):
+    a = _write_pgm(tmp_path / "a.pgm", _gradient(8, 8))
+    b = _write_pgm(tmp_path / "b.pgm", _gradient(8, 8) + 4.0)
+    assert main(["eval", "--gt", a, "--pred", b]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "11x11" in err
+
+
 # ----------------------------------------------------------------------
 # simulate and inspect
 
@@ -319,8 +346,56 @@ def test_reconstruct_tick_outside_stream_is_a_usage_error(tmp_path, capsys, meth
     assert not list(tmp_path.glob("o-*"))
 
 
+def test_reconstruct_checks_ticks_before_building_a_calibration(tmp_path, capsys):
+    # A bare header declaring a 2048x2048 sensor and no ticks: an identity
+    # calibration of that size alone is several hundred MiB.
+    path = tmp_path / "empty.spk"
+    path.write_bytes(struct.pack("<8sIIQQI", SPIKE_MAGIC, 2048, 2048, 0, 50000, 0))
+    tracemalloc.start()
+    try:
+        code = main([
+            "reconstruct", str(path), "--method", "tfi",
+            "--at", "0", "--out-prefix", str(tmp_path / "o-"),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "error: tick 0 outside stream of length 0" in err
+    assert peak <= 16 * 2**20
+
+
+def test_reconstruct_rsir_on_an_indivisible_stream_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "s.spk"
+    write_stream(_periodic_stream(4, 32, width=20, height=12), path)
+    assert main([
+        "reconstruct", str(path), "--method", "rsir",
+        "--at", "8", "--out-prefix", str(tmp_path / "o-"),
+    ]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert f"error: {path} is 20x12" in err
+    assert not list(tmp_path.glob("o-*"))
+
+
 # ----------------------------------------------------------------------
 # calibrate
+
+
+def test_calibrate_zero_length_recording_is_a_data_error(tmp_path, capsys):
+    dark = tmp_path / "dark.spk"
+    light = tmp_path / "light.spk"
+    write_stream(SpikeStream(width=16, height=16, length=0), str(dark))
+    write_stream(_periodic_stream(4, 40), str(light))
+    assert main([
+        "calibrate", "--dark", str(dark), "--light1", f"{light}:51",
+        "--light2", f"{light}:63.75", "--out", str(tmp_path / "sensor.cal"),
+    ]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert f"error: {dark} " in err
 
 
 def test_calibrate_round_trip_on_uniform_streams(tmp_path):

@@ -247,6 +247,27 @@ def test_center_crop_handles_long_streams_in_chunks():
     assert cropped.length == 2050
 
 
+def test_center_crop_of_an_empty_stream_is_empty():
+    cropped = center_crop(SpikeStream(width=16, height=10, length=0), 8, 8)
+    assert (cropped.width, cropped.height, cropped.length) == (8, 8, 0)
+
+
+def test_center_crop_peaks_near_its_output():
+    # The real 400x250 dump cropped to 400x248: the output is 11.8 MiB,
+    # and the input's chunks are packed straight into it.
+    payload = np.random.default_rng(11).integers(0, 256, (1000, 400 * 250 // 8), np.uint8)
+    stream = SpikeStream.from_packed(payload, 400, 250)
+    del payload
+    tracemalloc.start()
+    try:
+        cropped = center_crop(stream, 400, 248)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(cropped.to_dense(990, 1000), stream.to_dense(990, 1000)[:, 1:249])
+    assert peak <= 2 * cropped.bits.nbytes
+
+
 def test_center_crop_validates_target():
     stream = random_stream(10, 8, 8, 4)
     with pytest.raises(ValueError):

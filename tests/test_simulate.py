@@ -511,6 +511,26 @@ def test_per_tick_chunk_stays_under_a_pixel_budget():
     assert peak <= 48 * 2**20
 
 
+def test_arrival_path_holds_one_copy_of_the_stream():
+    # 64x64 at L = 2 over 32,768 ticks is a 16 MiB stream and about a
+    # million spikes; the stream takes over the simulator's output array,
+    # where a copy of it made the peak twice the packed bytes.
+    req = SimulationRequest(
+        source=np.full((64, 64), 2.0),
+        length=32768,
+        noise=NoiseConfig(enable_dark=False, enable_nonuniformity=False,
+                          enable_quantization=False, rng_seed=0),
+    )
+    tracemalloc.start()
+    try:
+        stream = simulate(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.bits.nbytes == 16 * 2**20
+    assert peak <= 1.5 * stream.bits.nbytes
+
+
 # ----------------------------------------------------------------------
 # arrival path chunks
 

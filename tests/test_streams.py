@@ -111,6 +111,21 @@ def test_constructor_copies_payload():
     assert stream.bits[0, 0] == 0
 
 
+def test_constructor_takes_over_a_clean_payload():
+    payload = np.array([[0b101], [0b010]], dtype=np.uint8)
+    stream = SpikeStream(width=3, height=1, length=2, bits=payload)
+    assert np.shares_memory(stream.bits, payload)
+    assert not payload.flags.writeable
+
+
+def test_constructor_masks_padding_without_writing_to_the_callers_array():
+    payload = np.array([[0b11111101]], dtype=np.uint8)
+    stream = SpikeStream(width=3, height=1, length=1, bits=payload)
+    assert stream.bits[0, 0] == 0b101
+    assert payload[0, 0] == 0b11111101
+    assert payload.flags.writeable
+
+
 def test_equality_includes_clock():
     dense = np.ones((1, 1, 1), dtype=bool)
     a = SpikeStream.from_dense(dense)
