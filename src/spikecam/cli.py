@@ -1,14 +1,19 @@
 """Command-line surface tying the library into user workflows.
 
 Every subcommand is a thin wrapper over library calls, so CLI output is
-byte-identical to doing the same calls directly with the same seed.  Exit
-codes: 0 success, 1 usage error, 2 data or format error, 3 calibration
-quality error.
+byte-identical to doing the same calls directly with the same seed.
+
+Exit codes: 0 success, 1 the command line is wrong, 2 the input files or
+their data are wrong or too large for memory, 3 calibration quality.
+argparse checks each argument; only the method/window pair, `--msb-first`
+without `--raw` and an `--at` tick outside the stream are checked later.
+After them any ValueError, OSError or MemoryError exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from pathlib import Path
@@ -36,7 +41,7 @@ from .formats import (
 )
 from .metrics import psnr, ssim
 from .noise import NoiseConfig
-from .reconstruct import reconstruct
+from .reconstruct import check_method, reconstruct
 from .simulate import SimulationRequest, simulate
 from .streams import SpikeStream
 from .wavelet import PYRAMID_LEVELS
@@ -60,40 +65,66 @@ _NOISE_FLAGS = {
 }
 
 
-def _parse_noise(text: str, seed: int) -> NoiseConfig:
-    if text == "none":
-        return NoiseConfig.none(seed)
-    if text == "all":
-        return NoiseConfig.all(seed)
-    enabled = dict.fromkeys(_NOISE_FLAGS.values(), False)
-    for token in text.split(","):
-        token = token.strip()
+def _parse_noise(text: str) -> dict[str, bool]:
+    """NoiseConfig's enable_* flags from 'all', 'none' or a comma list."""
+    if text in ("all", "none"):
+        return dict.fromkeys(_NOISE_FLAGS.values(), text == "all")
+    tokens = [token.strip() for token in text.split(",")]
+    for token in tokens:
         if token not in _NOISE_FLAGS:
-            raise UsageError(
+            raise argparse.ArgumentTypeError(
                 f"unknown noise source {token!r}; choose from "
                 f"{', '.join(_NOISE_FLAGS)}, or 'all' or 'none'"
             )
-        enabled[_NOISE_FLAGS[token]] = True
-    return NoiseConfig(rng_seed=seed, **enabled)
+    return {flag: name in tokens for name, flag in _NOISE_FLAGS.items()}
 
 
 def _parse_raw(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)x(\d+)", text)
     if not m:
-        raise UsageError(f"--raw expects WIDTHxHEIGHT, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected WIDTHxHEIGHT, got {text!r}")
     return int(m.group(1)), int(m.group(2))
 
 
 def _parse_ticks(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",")]
-    except ValueError:
-        raise UsageError(f"--at expects comma-separated tick numbers, got {text!r}")
+    ticks = [int(t) for t in text.split(",")] if re.fullmatch(r"-?\d+(,-?\d+)*", text) else []
+    if not ticks or any(b <= a for a, b in zip(ticks, ticks[1:])):
+        raise argparse.ArgumentTypeError(f"expected strictly increasing tick numbers, got {text!r}")
+    return ticks
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text!r}")
+    return value
+
+
+def _parse_light(spec: str) -> tuple[str, float]:
+    path, sep, level = spec.rpartition(":")
+    if not sep or not path:
+        raise argparse.ArgumentTypeError(f"expected FILE:INTENSITY, got {spec!r}")
+    return path, _positive(level)
 
 
 def _add_raw_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--raw",
+        type=_parse_raw,
         metavar="WxH",
         help="read stream files as headerless packed dumps with these dimensions",
     )
@@ -109,10 +140,12 @@ def _add_stream_input(parser: argparse.ArgumentParser) -> None:
     _add_raw_flags(parser)
 
 
-def _load_stream(path: str, raw: str | None, msb_first: bool) -> SpikeStream:
+def _load_stream(path: str, raw: tuple[int, int] | None, msb_first: bool) -> SpikeStream:
     if raw is None:
+        if msb_first:
+            raise UsageError("--msb-first applies only with --raw")
         return read_stream(path)
-    width, height = _parse_raw(raw)
+    width, height = raw
     stream = read_raw_stream(path, width, height, msb_first=msb_first)
     w8, h8 = width - width % 8, height - height % 8
     if (w8, h8) != (width, height):
@@ -137,11 +170,7 @@ def _require_one_size(shapes: dict[str, tuple[int, int]]) -> None:
 
 def _read_calibration(path: str, shape: tuple[int, int]) -> CalibrationData:
     calib = read_calibration(path)
-    try:
-        calib.require_shape(shape)
-    except ValueError as exc:
-        # Two input files that disagree are a data error, not a usage error.
-        raise FormatError(str(exc)) from exc
+    calib.require_shape(shape)
     return calib
 
 
@@ -150,8 +179,6 @@ def _read_calibration(path: str, shape: tuple[int, int]) -> CalibrationData:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if (args.input is None) == (args.sequence is None):
-        raise UsageError("exactly one of --input or --sequence is required")
     if args.input is not None:
         source = read_image(args.input)
     else:
@@ -162,7 +189,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _require_one_size({str(f): image.shape for f, image in zip(frames, images)})
         source = np.stack(images)
     calib = _read_calibration(args.calib, source.shape[-2:]) if args.calib else None
-    noise = _parse_noise(args.noise, args.seed)
+    noise = NoiseConfig(rng_seed=args.seed, **args.noise)
     req = SimulationRequest(
         source=source, theta=args.theta, length=args.length, calib=calib, noise=noise
     )
@@ -171,23 +198,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    def lit(spec: str) -> tuple[str, float]:
-        path, sep, level = spec.rpartition(":")
-        if not sep or not path:
-            raise UsageError(f"expected FILE:INTENSITY, got {spec!r}")
-        try:
-            return path, float(level)
-        except ValueError:
-            raise UsageError(f"bad intensity {level!r} in {spec!r}")
-
     def load(path: str) -> SpikeStream:
         stream = _load_stream(path, args.raw, args.msb_first)
         if stream.length == 0:
             raise FormatError(f"{path} is a recording of 0 ticks")
         return stream
 
-    path1, L_1 = lit(args.light1)
-    path2, L_2 = lit(args.light2)
+    (path1, L_1), (path2, L_2) = args.light1, args.light2
     dark, light1, light2 = load(args.dark), load(path1), load(path2)
     _require_one_size({
         path: (s.height, s.width)
@@ -199,10 +216,14 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    method = "recurrent" if args.method == "rsir" else args.method
+    try:
+        check_method(method, args.window)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     stream = _load_stream(args.stream, args.raw, args.msb_first)
-    ticks = _parse_ticks(args.at)
     # Both checks come before any calibration of the stream's size is built.
-    for t in ticks:
+    for t in args.at:
         if not 0 <= t < stream.length:
             raise UsageError(f"tick {t} outside stream of length {stream.length}")
     div = 2**PYRAMID_LEVELS
@@ -215,9 +236,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         calib = _read_calibration(args.calib, (stream.height, stream.width))
     else:
         calib = identity_calibration(stream.width, stream.height, clock=stream.clock)
-    method = "recurrent" if args.method == "rsir" else args.method
-    images = reconstruct(stream, method, ticks, calib, window=args.window)
-    for t, image in zip(ticks, images):
+    images = reconstruct(stream, method, args.at, calib, window=args.window)
+    for t, image in zip(args.at, images):
         path = f"{args.out_prefix}{t:06d}.pgm"
         write_image(np.clip(image, 0.0, 255.0), path, bit_depth=16)
         print(f"wrote {path}")
@@ -228,11 +248,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     gt = read_image(args.gt)
     pred = read_image(args.pred)
     _require_one_size({args.gt: gt.shape, args.pred: pred.shape})
-    try:
-        print(f"psnr={round(psnr(gt, pred), 4)} ssim={round(ssim(gt, pred), 6)}")
-    except ValueError as exc:
-        # ssim's minimum size is a property of the input files
-        raise FormatError(f"{args.gt}: {exc}") from exc
+    print(f"psnr={round(psnr(gt, pred), 4)} ssim={round(ssim(gt, pred), 6)}")
     return 0
 
 
@@ -288,24 +304,27 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="render a spike stream from an image or sequence")
-    p.add_argument("--input", help="static scene graymap")
-    p.add_argument("--sequence", help="directory of per-tick .pgm frames (sorted by name)")
-    p.add_argument("--theta", type=float, default=1.0, help="exposure factor")
-    p.add_argument("--length", type=int, required=True, help="ticks to simulate")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="static scene graymap")
+    source.add_argument("--sequence", help="directory of per-tick .pgm frames (sorted by name)")
+    p.add_argument("--theta", type=_positive, default=1.0, help="exposure factor")
+    p.add_argument("--length", type=_positive_int, required=True, help="ticks to simulate")
     p.add_argument("--calib", help="calibration document for the sensor model")
     p.add_argument(
         "--noise",
+        type=_parse_noise,
         default="all",
         help="comma-separated subset of shot,dark,rnu,quant, or 'all' or 'none'",
     )
-    p.add_argument("--seed", type=int, default=0, help="noise stream seed")
+    p.add_argument("--seed", type=_seed, default=0, help="noise stream seed")
     p.add_argument("--out", required=True, help="output spike stream file")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("calibrate", help="build sensor calibration from three recordings")
     p.add_argument("--dark", required=True, help="lens-capped recording")
-    p.add_argument("--light1", required=True, metavar="FILE:L1", help="uniform scene at intensity L1")
-    p.add_argument("--light2", required=True, metavar="FILE:L2", help="uniform scene at intensity L2")
+    for k in (1, 2):
+        p.add_argument(f"--light{k}", required=True, type=_parse_light, metavar=f"FILE:L{k}",
+                       help=f"uniform scene at intensity L{k}")
     _add_raw_flags(p)
     p.add_argument("--out", required=True, help="output calibration document")
     p.set_defaults(func=_cmd_calibrate)
@@ -314,7 +333,7 @@ def _build_parser() -> _Parser:
     _add_stream_input(p)
     p.add_argument("--method", required=True, choices=("tfp", "tfi", "ast", "rsir"))
     p.add_argument("--window", type=int, help="tick window for tfp")
-    p.add_argument("--at", required=True, metavar="T[,T...]", help="ticks to restore")
+    p.add_argument("--at", required=True, type=_parse_ticks, metavar="T[,T...]", help="ticks to restore")
     p.add_argument("--calib", help="calibration document (identity if omitted)")
     p.add_argument("--out-prefix", required=True, help="output files get PREFIX<tick>.pgm")
     p.set_defaults(func=_cmd_reconstruct)
@@ -327,7 +346,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run the benchmark sweep (summary table on stderr)")
     p.add_argument("--scenes", help="directory of .pgm scenes (builtin scenes if omitted)")
     p.add_argument("--calib", help="calibration document (synthetic sensor if omitted)")
-    p.add_argument("--seed", type=int, default=0, help="benchmark seed")
+    p.add_argument("--seed", type=_seed, default=0, help="benchmark seed")
     p.add_argument("--report", help="write the structured text report here")
     p.set_defaults(func=_cmd_bench)
 
@@ -341,10 +360,10 @@ def _build_parser() -> _Parser:
 # Exit code per exception type; the first type an error is an instance of wins.
 _EXIT_CODES = {
     UsageError: 1,
-    FormatError: 2,
     CalibrationError: 3,
+    ValueError: 2,
     OSError: 2,
-    ValueError: 1,
+    MemoryError: 2,
 }
 
 
@@ -353,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 

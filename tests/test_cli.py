@@ -6,14 +6,20 @@ output, and the files the commands leave behind.
 
 from __future__ import annotations
 
+import itertools
 import os
+import resource
 import stat
 import struct
 import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from spikecam import cli
@@ -561,6 +567,154 @@ def test_raw_import_rejects_malformed_geometry(tmp_path, capsys):
     raw = tmp_path / "dump.bin"
     raw.write_bytes(bytes(8))
     assert main(["inspect", str(raw), "--raw", "8by8"]) == 1
+
+
+# ----------------------------------------------------------------------
+# the exit-code rule: arguments exit 1, input data 2, calibration quality 3
+
+
+def _assert_one_error_among(err: str) -> None:
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_msb_first_without_raw_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "s.spk"
+    write_stream(_periodic_stream(4, 32), path)
+    assert main(["inspect", str(path), "--msb-first"]) == 1
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "error: --msb-first applies only with --raw" in err
+
+
+# Each command's only fault is one argument, and every file it names is
+# missing: the argument must be rejected before any file is read.
+_SIMULATE = ["simulate", "--input", "{d}/missing.pgm", "--out", "{d}/o.spk"]
+_CALIBRATE = ["calibrate", "--dark", "{d}/missing.spk", "--out", "{d}/o.cal"]
+_RECONSTRUCT = ["reconstruct", "{d}/missing.spk", "--out-prefix", "{d}/o-"]
+_ARGUMENT_ERRORS = {
+    "length 0": [*_SIMULATE, "--length", "0"],
+    "theta 0": [*_SIMULATE, "--length", "8", "--theta", "0"],
+    "theta nan": [*_SIMULATE, "--length", "8", "--theta", "nan"],
+    "theta inf": [*_SIMULATE, "--length", "8", "--theta", "inf"],
+    "simulate seed -1": [*_SIMULATE, "--length", "8", "--seed", "-1"],
+    "simulate seed 2**64": [*_SIMULATE, "--length", "8", "--seed", str(2**64)],
+    "bench seed -1": ["bench", "--scenes", "{d}/missing", "--seed", "-1"],
+    "bench seed 2**64": ["bench", "--scenes", "{d}/missing", "--seed", str(2**64)],
+    "light 0": [*_CALIBRATE, "--light1", "{d}/l1.spk:0", "--light2", "{d}/l2.spk:60"],
+    "light nan": [*_CALIBRATE, "--light1", "{d}/l1.spk:30", "--light2", "{d}/l2.spk:nan"],
+    "tfi window": [*_RECONSTRUCT, "--method", "tfi", "--window", "4", "--at", "8"],
+    "tfp window 0": [*_RECONSTRUCT, "--method", "tfp", "--window", "0", "--at", "8"],
+    "ticks decrease": [*_RECONSTRUCT, "--method", "tfi", "--at", "100,50"],
+    "ticks repeat": [*_RECONSTRUCT, "--method", "ast", "--at", "50,50"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARGUMENT_ERRORS))
+def test_argument_errors_exit_1_before_any_file_is_read(tmp_path, capsys, case):
+    assert main([arg.format(d=tmp_path) for arg in _ARGUMENT_ERRORS[case]]) == 1
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("image", [np.zeros((16, 16)), np.full((4, 4), 100.0)],
+                         ids=["all-zero", "4x4"])
+def test_bench_scene_the_sweep_cannot_use_is_a_data_error(tmp_path, capsys, image):
+    scenes = tmp_path / "scenes"
+    scenes.mkdir()
+    _write_pgm(scenes / "scene.pgm", image)
+    assert main(["bench", "--scenes", str(scenes)]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_simulate_sequence_shorter_than_length_is_a_data_error(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    _write_pgm(frames / "000.pgm", _gradient())
+    assert main([
+        "simulate", "--sequence", str(frames), "--length", "8", "--out", str(tmp_path / "s.spk"),
+    ]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "1 frames but length is 8" in err
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def _run_cli(argv) -> subprocess.CompletedProcess:
+    """`python -m spikecam.cli` in a child limited to 1 GiB of address space."""
+    return subprocess.run(
+        [sys.executable, "-m", "spikecam.cli", *map(str, argv)],
+        env={**os.environ, "PYTHONPATH": _SRC}, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, errors="replace", timeout=300,
+    )
+
+
+def test_out_of_memory_is_a_data_error(tmp_path):
+    img = _write_pgm(tmp_path / "flat.pgm", np.full((16, 16), 51.0))
+    proc = _run_cli([
+        "simulate", "--input", img, "--length", "100000000", "--noise", "none",
+        "--out", tmp_path / "s.spk",
+    ])
+    assert proc.returncode == 2
+    _assert_one_error_line(proc.stderr)
+    assert proc.stderr.startswith("error: Unable to allocate ")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Valid 16x16 inputs for every command the fuzz test runs."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    write_image(_gradient(), root / "scene.pgm")
+    req = SimulationRequest(source=_gradient(), length=64, noise=NoiseConfig.all(5))
+    write_stream(simulate(req), root / "scene.spk")
+    calib = make_calibration(np.full((16, 16), 0.5), np.ones((16, 16)))
+    write_calibration(calib, root / "scene.cal")
+    write_stream(SpikeStream.from_dense(np.zeros((100, 16, 16), dtype=bool)), root / "dark.spk")
+    write_stream(_periodic_stream(5, 100), root / "l1.spk")
+    write_stream(_periodic_stream(4, 100), root / "l2.spk")
+    return root
+
+
+# (valid file the example damages, command with {f} for the damaged copy)
+_FUZZ_RUNS = [
+    ("scene.spk", ["inspect", "{f}"]),
+    ("scene.spk", ["reconstruct", "{f}", "--method", "tfi", "--at", "8,40",
+                   "--out-prefix", "{d}/o-"]),
+    ("scene.spk", ["reconstruct", "{f}", "--method", "rsir", "--at", "8,40",
+                   "--out-prefix", "{d}/o-"]),
+    ("scene.pgm", ["eval", "--gt", "{f}", "--pred", "{d}/scene.pgm"]),
+    ("scene.pgm", ["simulate", "--input", "{f}", "--length", "8", "--out", "{d}/o.spk"]),
+    ("scene.cal", ["simulate", "--input", "{d}/scene.pgm", "--calib", "{f}",
+                   "--length", "8", "--out", "{d}/o.spk"]),
+    ("dark.spk", ["calibrate", "--dark", "{f}", "--light1", "{d}/l1.spk:51",
+                  "--light2", "{d}/l2.spk:63.75", "--out", "{d}/o.cal"]),
+]
+_FUZZED = itertools.count()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_inputs_exit_2_or_3_with_one_error_line(fuzz_dir, data):
+    name, argv = data.draw(st.sampled_from(_FUZZ_RUNS), label="run")
+    raw = bytearray((fuzz_dir / name).read_bytes())
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1), label="keep")]
+    else:
+        bits = st.integers(0, 8 * len(raw) - 1)
+        for bit in data.draw(st.lists(bits, min_size=1, max_size=4, unique=True), label="flips"):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    damaged = fuzz_dir / f"{next(_FUZZED)}-{name}"
+    damaged.write_bytes(bytes(raw))
+    proc = _run_cli([arg.format(f=damaged, d=fuzz_dir) for arg in argv])
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    if proc.returncode:
+        _assert_one_error_among(proc.stderr)
+    assert "Traceback" not in proc.stderr
 
 
 # ----------------------------------------------------------------------
