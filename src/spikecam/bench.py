@@ -29,6 +29,7 @@ from .noise import NoiseConfig, make_rng, split_rng
 from .reconstruct import RecurrentRestorer, check_method, reconstruct
 from .simulate import SimulationRequest, simulate
 from .streams import SpikeStream, validate_image
+from .wavelet import PYRAMID_LEVELS
 
 log = logging.getLogger(__name__)
 
@@ -77,8 +78,8 @@ def make_scenes(size: int = 96) -> list[Scene]:
     low-light regime; shapes cover smooth blobs, ramps, periodic bars,
     rings, and a hard-edged plateau.
     """
-    if size % 8:
-        raise ValueError(f"scene size must be divisible by 8, got {size}")
+    if size % 2**PYRAMID_LEVELS:
+        raise ValueError(f"scene size must be divisible by {2**PYRAMID_LEVELS}, got {size}")
     axis = np.arange(size) / (size - 1)
     xx, yy = np.meshgrid(axis, axis)
     lo, span = 64.0, 191.0
@@ -296,7 +297,8 @@ def run_benchmark(
     Each (scene, regime) cell simulates once from its own split rng and
     shares the stream across methods, mirroring a fixed test recording.
     Ground truth is the exposed scene theta*L clamped to full scale.
-    Method failures are recorded in the row and the sweep continues; a
+    An unusable scene raises before any cell is simulated.  Method
+    failures are recorded in the row and the sweep continues; a
     simulation failure ends the sweep and propagates.
 
     Cells run concurrently, one thread per CPU this process may use:
@@ -315,13 +317,14 @@ def run_benchmark(
     if not 0 <= eval_tick < length:
         raise ValueError(f"eval_tick {eval_tick} outside stream of length {length}")
     cfg = noise if noise is not None else NoiseConfig.all(seed)
-    regimes = (("low", LOW_DENSITY_TARGET), ("high", HIGH_DENSITY_TARGET))
-    cells = [(scene, regime) for scene in scenes for regime in regimes]
+    for scene in scenes:
+        ssim(scene.image, scene.image)  # rejects a scene under ssim's window
+    targets = (LOW_DENSITY_TARGET, HIGH_DENSITY_TARGET)
+    cells = [(scene, theta_for_density(scene.image, t)) for scene in scenes for t in targets]
     cell_rngs = split_rng(make_rng(seed), len(cells))
 
-    def run_cell(cell: tuple[Scene, tuple[str, float]], rng: np.random.Generator):
-        scene, (_, target) = cell
-        theta = theta_for_density(scene.image, target)
+    def run_cell(cell: tuple[Scene, float], rng: np.random.Generator):
+        scene, theta = cell
         req = SimulationRequest(
             source=scene.image, theta=theta, length=length, calib=calib, noise=cfg
         )
@@ -386,7 +389,6 @@ def _score_method(
             error=f"{type(exc).__name__}: {exc}",
         )
     runtime = time.perf_counter() - start
-    image = np.clip(image, 0.0, _FULL_SCALE)
     return BenchRow(
         **cell, psnr=psnr(gt, image), ssim=ssim(gt, image), runtime=runtime, stages=stages
     )

@@ -27,6 +27,14 @@ from .streams import ClockParams, SpikeStream
 log = logging.getLogger(__name__)
 
 
+def _derived_maps(
+    L_d: np.ndarray, R: np.ndarray, clock: ClockParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Q_r = 255 / R and D_dark = Q_r / L_d (inf where L_d == 0)."""
+    with np.errstate(divide="ignore"):
+        Q_r = clock.max_intensity / R
+        return Q_r, np.where(L_d > 0, Q_r / L_d, np.inf)
+
 
 class CalibrationError(ValueError):
     """Calibration inputs are unusable."""
@@ -69,12 +77,10 @@ class CalibrationData:
             raise ValueError("L_d must be finite and nonnegative")
         if not np.isfinite(maps["R"]).all() or (maps["R"] <= 0).any():
             raise ValueError("R must be finite and positive")
-        thr = self.clock.max_intensity
-        if not np.array_equal(maps["Q_r"], thr / maps["R"]):
+        Q_r, D_dark = _derived_maps(maps["L_d"], maps["R"], self.clock)
+        if not np.array_equal(maps["Q_r"], Q_r):
             raise ValueError("Q_r must equal 255 / R elementwise")
-        with np.errstate(divide="ignore"):
-            expect_dark = np.where(maps["L_d"] > 0, maps["Q_r"] / maps["L_d"], np.inf)
-        if not np.array_equal(maps["D_dark"], expect_dark):
+        if not np.array_equal(maps["D_dark"], D_dark):
             raise ValueError("D_dark must equal Q_r / L_d (inf where L_d == 0)")
         x, y = self.reference_pixel
         h, w = shp
@@ -116,9 +122,7 @@ def make_calibration(
     clock = clock or ClockParams()
     L_d = np.asarray(L_d, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        Q_r = clock.max_intensity / R
-        D_dark = np.where(L_d > 0, Q_r / L_d, np.inf)
+    Q_r, D_dark = _derived_maps(L_d, R, clock)
     return CalibrationData(
         L_d=L_d, R=R, Q_r=Q_r, D_dark=D_dark, reference_pixel=reference_pixel, clock=clock
     )

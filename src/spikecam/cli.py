@@ -93,25 +93,24 @@ def _parse_ticks(text: str) -> list[int]:
     return ticks
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
+def _number(parse, accept, expected: str):
+    """An argparse type: parse the text, then accept the value or say what was expected."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"expected a seed in [0, 2**64), got {text!r}")
-    return value
+_positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_seed = _number(int, lambda v: 0 <= v < 2**64, "a seed in [0, 2**64)")
 
 
 def _parse_light(spec: str) -> tuple[str, float]:
@@ -147,13 +146,14 @@ def _load_stream(path: str, raw: tuple[int, int] | None, msb_first: bool) -> Spi
         return read_stream(path)
     width, height = raw
     stream = read_raw_stream(path, width, height, msb_first=msb_first)
-    w8, h8 = width - width % 8, height - height % 8
+    div = 2**PYRAMID_LEVELS
+    w8, h8 = width - width % div, height - height % div
     if (w8, h8) != (width, height):
         if w8 == 0 or h8 == 0:
-            raise FormatError(f"raw dimensions {width}x{height} are below one 8-pixel tile")
+            raise FormatError(f"raw dimensions {width}x{height} are below one {div}-pixel tile")
         print(
             f"note: center-cropping {width}x{height} raw input to {w8}x{h8} "
-            f"(dimensions must be divisible by 8 for processing)",
+            f"(dimensions must be divisible by {div} for processing)",
             file=sys.stderr,
         )
         stream = center_crop(stream, w8, h8)
@@ -166,6 +166,16 @@ def _require_one_size(shapes: dict[str, tuple[int, int]]) -> None:
     for name, (h, w) in rest:
         if (h, w) != (h0, w0):
             raise FormatError(f"{name} is {w}x{h} but {first} is {w0}x{h0}")
+
+
+def _read_graymaps(directory: str, what: str) -> list[tuple[Path, np.ndarray]]:
+    """Every .pgm file in directory, sorted by name; one at least, all of one size."""
+    files = sorted(Path(directory).glob("*.pgm"))
+    if not files:
+        raise FormatError(f"no .pgm {what} found in {directory}")
+    images = [read_image(f) for f in files]
+    _require_one_size({str(f): image.shape for f, image in zip(files, images)})
+    return list(zip(files, images))
 
 
 def _read_calibration(path: str, shape: tuple[int, int]) -> CalibrationData:
@@ -182,12 +192,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.input is not None:
         source = read_image(args.input)
     else:
-        frames = sorted(Path(args.sequence).glob("*.pgm"))
-        if not frames:
-            raise FormatError(f"no .pgm frames found in {args.sequence}")
-        images = [read_image(f) for f in frames]
-        _require_one_size({str(f): image.shape for f, image in zip(frames, images)})
-        source = np.stack(images)
+        source = np.stack([image for _, image in _read_graymaps(args.sequence, "frames")])
     calib = _read_calibration(args.calib, source.shape[-2:]) if args.calib else None
     noise = NoiseConfig(rng_seed=args.seed, **args.noise)
     req = SimulationRequest(
@@ -220,7 +225,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     try:
         check_method(method, args.window)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        # the library calls rsir "recurrent"; name it as it was typed
+        raise UsageError(str(exc).replace(method, args.method)) from exc
     stream = _load_stream(args.stream, args.raw, args.msb_first)
     # Both checks come before any calibration of the stream's size is built.
     for t in args.at:
@@ -239,7 +245,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     images = reconstruct(stream, method, args.at, calib, window=args.window)
     for t, image in zip(args.at, images):
         path = f"{args.out_prefix}{t:06d}.pgm"
-        write_image(np.clip(image, 0.0, 255.0), path, bit_depth=16)
+        write_image(image, path, bit_depth=16)
         print(f"wrote {path}")
     return 0
 
@@ -254,11 +260,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.scenes is not None:
-        files = sorted(Path(args.scenes).glob("*.pgm"))
-        if not files:
-            raise FormatError(f"no .pgm scenes found in {args.scenes}")
-        scenes = [Scene(f.stem, read_image(f)) for f in files]
-        _require_one_size({str(f): scene.image.shape for f, scene in zip(files, scenes)})
+        scenes = [Scene(f.stem, image) for f, image in _read_graymaps(args.scenes, "scenes")]
     else:
         scenes = make_scenes()
     height, width = scenes[0].image.shape

@@ -15,6 +15,7 @@ from __future__ import annotations
 import base64
 import logging
 import os
+import re
 import stat
 import struct
 
@@ -176,6 +177,12 @@ def center_crop(stream: SpikeStream, width: int, height: int) -> SpikeStream:
 # ----------------------------------------------------------------------
 # grayscale images (binary portable graymap)
 
+# Magic, then width, height and maxval, each after whitespace or comments,
+# then one whitespace byte.  A number has at most 20 digits, far below the
+# 4,300 that Python converts from a string to an int.
+_GRAYMAP_HEADER = re.compile(rb"P5(?:\s|#.*\n)*" + rb"(\d{1,20})(?:\s|#.*\n)+" * 2 + rb"(\d{1,20})\s")
+
+
 def write_image(image: np.ndarray, path, *, bit_depth: int = 8) -> None:
     """Write a 0..255-domain image as binary graymap, rounding half to even.
 
@@ -210,36 +217,17 @@ def read_image(path) -> np.ndarray:
         raw = fh.read()
     if raw[:2] != b"P5":
         raise FormatError(f"not a binary graymap (starts with {raw[:2]!r})")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(raw):
-            raise FormatError("graymap header ended before width/height/maxval")
-        ch = raw[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            nl = raw.find(b"\n", pos)
-            pos = len(raw) if nl < 0 else nl + 1
-        elif ch.isdigit():
-            end = pos
-            while end < len(raw) and raw[end : end + 1].isdigit():
-                end += 1
-            fields.append(int(raw[pos:end]))
-            pos = end
-        else:
-            raise FormatError(f"unexpected byte {ch!r} in graymap header")
-    if pos >= len(raw) or not raw[pos : pos + 1].isspace():
-        raise FormatError("graymap header not terminated by whitespace")
-    pos += 1
-    width, height, maxval = fields
+    header = _GRAYMAP_HEADER.match(raw)
+    if header is None:
+        raise FormatError("graymap header is not width, height and maxval, then whitespace")
+    width, height, maxval = (int(field) for field in header.groups())
     if width <= 0 or height <= 0:
         raise FormatError(f"invalid graymap dimensions {width}x{height}")
     if not 0 < maxval < 65536:
         raise FormatError(f"invalid graymap maxval {maxval}")
     dtype = np.dtype(">u1") if maxval < 256 else np.dtype(">u2")
     expected = width * height * dtype.itemsize
-    payload = raw[pos:]
+    payload = raw[header.end() :]
     if len(payload) != expected:
         raise FormatError(f"graymap payload is {len(payload)} bytes, expected {expected}")
     samples = np.frombuffer(payload, dtype=dtype).reshape(height, width)

@@ -76,12 +76,8 @@ def tfp(stream: SpikeStream, t: int, w: int) -> np.ndarray:
     if w < 1:
         raise ValueError(f"window must be >= 1, got {w}")
     lo = int(t) - w // 2
-    hi = lo + w
-    lo, hi = max(lo, 0), min(hi, stream.length)
-    if hi <= lo:
-        raise ValueError(
-            f"window of length {w} at tick {t} does not overlap the stream"
-        )
+    lo, hi = stream._clip_ticks(lo, lo + w)
+    # 255 * count / n, in this order: 255 * (count / n) differs in the last bit
     return _FULL_SCALE * stream.count_map(lo, hi) / float(hi - lo)
 
 
@@ -373,8 +369,8 @@ class RecurrentRestorer:
         self.calib = calib
         self.causal = causal
         self.window_override = window_override
-        boot = min(int(self.params.bootstrap_window), stream.length)
-        self.state = RestorerState(density_map=stream.density_map(0, boot))
+        boot = stream.density_map(0, int(self.params.bootstrap_window))
+        self.state = RestorerState(density_map=boot)
 
     def step(self, t: int) -> StepResult:
         t = _check_tick(self.stream, t)
@@ -445,8 +441,10 @@ def reconstruct(
     *,
     window: int | None = None,
 ) -> list[np.ndarray]:
-    """One image per tick, in tick order, unclamped, by the named method.
+    """One image per tick, in tick order, by the named method.
 
+    Every image is finite and in [0, 255], bounded by the method itself:
+    tfp and tfi by their arithmetic, ast and recurrent by their own clips.
     A tick outside the stream raises IndexError before any image is made.
     ast bootstraps its density map as RecurrentRestorer does and refreshes
     it from tick to tick; recurrent is restore_recurrent with default params.
@@ -458,8 +456,8 @@ def reconstruct(
     elif method == "tfi":
         return [tfi(stream, t) for t in ticks]
     elif method == "ast":
-        boot = min(RestorerParams().bootstrap_window, stream.length)
-        state = RestorerState(density_map=stream.density_map(0, boot))
+        boot = stream.density_map(0, RestorerParams().bootstrap_window)
+        state = RestorerState(density_map=boot)
         return [
             correct_fixed_pattern(adaptive_transform(stream, t, state), calib)
             for t in ticks

@@ -167,17 +167,20 @@ class SpikeStream:
             raise IndexError(f"pixel (x={x}, y={y}) outside sensor {self.width}x{self.height}")
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
-        lo = max(t_start, 0)
-        hi = min(t_start + window, self.length)
-        if hi <= lo:
-            raise ValueError(
-                f"window [{t_start}, {t_start + window}) does not overlap stream "
-                f"of length {self.length}"
-            )
+        lo, hi = self._clip_ticks(t_start, t_start + window)
         idx = y * self.width + x
         byte = self.bits[lo:hi, idx >> 3]
         count = int(((byte >> (idx & 7)) & 1).sum())
         return count / (hi - lo)
+
+    def _clip_ticks(self, t_start: int, t_stop: int) -> tuple[int, int]:
+        """[t_start, t_stop) clipped to the stream; ValueError if nothing is left."""
+        lo, hi = max(t_start, 0), min(t_stop, self.length)
+        if hi <= lo:
+            raise ValueError(
+                f"tick range [{t_start}, {t_stop}) does not overlap stream of length {self.length}"
+            )
+        return lo, hi
 
     def _tick_bytes(self, lo: int, hi: int) -> np.ndarray:
         """Ticks [lo, hi) as one byte per pixel per 8 ticks.
@@ -209,12 +212,7 @@ class SpikeStream:
 
     def count_map(self, t_start: int, t_stop: int) -> np.ndarray:
         """Per-pixel spike counts over ticks [t_start, t_stop), clipped to bounds."""
-        lo = max(t_start, 0)
-        hi = min(t_stop, self.length)
-        if hi <= lo:
-            raise ValueError(
-                f"tick range [{t_start}, {t_stop}) does not overlap stream of length {self.length}"
-            )
+        lo, hi = self._clip_ticks(t_start, t_stop)
         count = np.zeros(self.bits.shape[1] * 8, dtype=np.int64)
         for off in range(lo, hi, _SCAN_CHUNK):
             ticks = self._tick_bytes(off, min(off + _SCAN_CHUNK, hi))
@@ -308,13 +306,7 @@ class SpikeStream:
 
     def density_map(self, t_start: int, window: int) -> np.ndarray:
         """Per-pixel spike density over the clipped window, as float64."""
-        lo = max(t_start, 0)
-        hi = min(t_start + window, self.length)
-        if hi <= lo:
-            raise ValueError(
-                f"window [{t_start}, {t_start + window}) does not overlap stream "
-                f"of length {self.length}"
-            )
+        lo, hi = self._clip_ticks(t_start, t_start + window)
         return self.count_map(lo, hi) / float(hi - lo)
 
     def __eq__(self, other: object) -> bool:

@@ -410,6 +410,21 @@ def test_run_benchmark_propagates_a_simulation_failure(monkeypatch):
         run_benchmark(*args, **kwargs)
 
 
+@pytest.mark.parametrize("bad", ["all-zero", "4x4"])
+def test_run_benchmark_checks_every_scene_before_simulating(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(bench, "simulate", lambda *args: calls.append(args))
+    if bad == "all-zero":
+        # the good scene comes first: no cell runs, not even its own
+        scenes = [_tiny_scene(), Scene("zero", np.zeros((16, 16)))]
+    else:
+        scenes = [Scene("small", np.full((4, 4), 100.0))]
+    calib = identity_calibration(*scenes[-1].image.shape)
+    with pytest.raises(ValueError):
+        run_benchmark(scenes, calib, [MethodSpec("tfp", window=16)], 0, length=160, eval_tick=96)
+    assert calls == []
+
+
 def test_run_benchmark_sizes_its_pool_without_sched_getaffinity(monkeypatch):
     # macOS and Windows have no sched_getaffinity; the pool takes cpu_count.
     args = ([_tiny_scene()], identity_calibration(16, 16), [MethodSpec("tfp", window=16)], 2)

@@ -30,6 +30,7 @@ from spikecam.formats import (
     SPIKE_MAGIC,
     read_calibration,
     read_image,
+    read_stream,
     write_calibration,
     write_image,
     write_stream,
@@ -257,6 +258,33 @@ def test_simulate_then_inspect_reports_density(tmp_path, capsys):
     assert "tick_nanoseconds 50000" in text
     assert "mean density 0.2" in text
     assert "frame density histogram" in text
+
+
+def test_inspect_a_zero_tick_stream_prints_only_the_header(tmp_path, capsys):
+    path = tmp_path / "empty.spk"
+    write_stream(SpikeStream(width=16, height=8, length=0), str(path))
+    assert main(["inspect", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "width 16", "height 8", "length 0", "tick_nanoseconds 50000",
+    ]
+
+
+def test_simulate_noise_list_matches_the_library_with_those_sources(tmp_path):
+    img_path = _write_pgm(tmp_path / "scene.pgm", _gradient())
+    calib_path = str(tmp_path / "sensor.cal")
+    calib = synthetic_calibration(16, 16, seed=4)
+    write_calibration(calib, calib_path)
+    cli_out = tmp_path / "cli.spk"
+    assert main([
+        "simulate", "--input", img_path, "--length", "64", "--calib", calib_path,
+        "--noise", "rnu, shot", "--seed", "9", "--out", str(cli_out),
+    ]) == 0
+    noise = NoiseConfig(
+        enable_shot=True, enable_dark=False, enable_nonuniformity=True,
+        enable_quantization=False, rng_seed=9,
+    )
+    req = SimulationRequest(source=read_image(img_path), length=64, calib=calib, noise=noise)
+    assert read_stream(str(cli_out)) == simulate(req)
 
 
 def test_simulate_cli_matches_direct_library_call(tmp_path):
@@ -614,6 +642,38 @@ _ARGUMENT_ERRORS = {
 def test_argument_errors_exit_1_before_any_file_is_read(tmp_path, capsys, case):
     assert main([arg.format(d=tmp_path) for arg in _ARGUMENT_ERRORS[case]]) == 1
     _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([*_SIMULATE, "--length", "8", "--theta", "abc"], "a positive finite number, got 'abc'"),
+    ([*_SIMULATE, "--length", "4x"], "a positive integer, got '4x'"),
+    (["bench", "--scenes", "{d}/missing", "--seed", "abc"], "a seed in [0, 2**64), got 'abc'"),
+], ids=["theta", "length", "seed"])
+def test_unparsable_number_says_what_was_expected(tmp_path, capsys, argv, expected):
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert f"expected {expected}" in err
+    assert "invalid" not in err
+
+
+def test_rsir_with_a_window_names_rsir(tmp_path, capsys):
+    argv = [*_RECONSTRUCT, "--method", "rsir", "--window", "4", "--at", "8"]
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "rsir does not take a window" in err
+
+
+def test_simulate_empty_sequence_directory_is_a_data_error(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    assert main([
+        "simulate", "--sequence", str(frames), "--length", "8", "--out", str(tmp_path / "s.spk"),
+    ]) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert "no .pgm frames found" in err
 
 
 @pytest.mark.parametrize("image", [np.zeros((16, 16)), np.full((4, 4), 100.0)],

@@ -126,6 +126,16 @@ def test_read_rejects_bad_geometry(tmp_path):
         read_stream(path)
 
 
+def test_read_rejects_a_zero_tick_duration(tmp_path):
+    path = tmp_path / "x.spk"
+    write_stream(random_stream(5, 8, 8, 4), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<Q", raw, 24, 0)  # tick_nanoseconds = 0
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="tick_nanoseconds"):
+        read_stream(path)
+
+
 def test_read_rejects_truncated_and_padded_files(tmp_path):
     stream = random_stream(6, 8, 8, 4)
     path = tmp_path / "x.spk"
@@ -348,6 +358,14 @@ def test_image_read_validation(tmp_path):
         read_image(path)
 
 
+def test_image_header_number_past_the_int_digit_limit_is_a_format_error(tmp_path):
+    # 5,000 digits is past the 4,300 Python converts from a string to an int
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n" + b"9" * 5000 + b" 1\n255\n\x00")
+    with pytest.raises(FormatError):
+        read_image(path)
+
+
 def test_image_write_validation(tmp_path):
     path = tmp_path / "img.pgm"
     with pytest.raises(ValueError):
@@ -442,6 +460,31 @@ def test_calibration_reader_rejects_corrupt_payloads(tmp_path):
     ]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
+        read_calibration(path)
+
+
+@pytest.mark.parametrize("line", ["map R", "map Z AAAA", "map R AAAA extra"])
+def test_calibration_reader_rejects_a_malformed_map_line(tmp_path, line):
+    path = tmp_path / "sensor.cal"
+    write_calibration(sample_calibration(), path)
+    lines = [line if ln.startswith("map R ") else ln for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="malformed map line"):
+        read_calibration(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("width", "0"), ("height", "-4"), ("tick_nanoseconds", "0")]
+)
+def test_calibration_reader_rejects_bad_geometry(tmp_path, field, value):
+    path = tmp_path / "sensor.cal"
+    write_calibration(sample_calibration(), path)
+    lines = [
+        f"{field} {value}" if ln.split()[0] == field else ln
+        for ln in path.read_text().splitlines()
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match="invalid calibration geometry"):
         read_calibration(path)
 
 

@@ -1,4 +1,4 @@
-"""Golden digests of whole outputs: simulated streams, CLI restorations, bench CSV.
+"""Golden digests of whole outputs: simulated streams, restorations, bench CSV.
 
 Each digest is the sha256 of an output produced with fixed seeds.  A
 change that is meant to keep outputs bit-identical must leave every
@@ -16,13 +16,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spikecam.bench import make_scenes, synthetic_calibration, theta_for_density
-from spikecam.calibration import make_calibration
+from spikecam.calibration import CalibrationData, make_calibration
 from spikecam.cli import main
 from spikecam.formats import write_calibration, write_image, write_stream
 from spikecam.noise import NoiseConfig, make_rng
+from spikecam.reconstruct import METHODS, reconstruct
 from spikecam.simulate import SimulationRequest, simulate
+from spikecam.streams import SpikeStream
 
 
 def _sha(data: bytes) -> str:
@@ -213,6 +217,69 @@ def test_reconstruct_outputs_are_golden(method, tmp_path, capsys):
     ]) == 0
     data = b"".join(Path(f"{prefix}{t:06d}.pgm").read_bytes() for t in ticks)
     assert _sha(data) == digest
+
+
+# ----------------------------------------------------------------------
+# reconstruct, in float64
+
+
+def _library_recording() -> tuple[SpikeStream, CalibrationData]:
+    """A noisy 24x32 recording of 256 ticks and the sensor it was made on."""
+    source = np.resize(make_scenes(16)[0].image, (24, 32))
+    calib = synthetic_calibration(32, 24, seed=5)
+    req = SimulationRequest(
+        source=source, theta=theta_for_density(source, 0.1), length=256,
+        calib=calib, noise=NoiseConfig.all(5),
+    )
+    return simulate(req), calib
+
+
+# The first and last ticks clip tfp's window and ast's spans at both ends.
+# A tfp window of 100 is one where 255 * count / n and 255 * (count / n)
+# differ in the last bit for some counts, so the digest pins that order.
+LIBRARY_TICKS = (0, 37, 128, 255)
+# method: (window, sha256 of the stacked little-endian float64 images)
+LIBRARY_CASES = {
+    "tfp": (100, "52d02547bdce6e06be82d88c5b260c3322c8f6745eac9c105ad04d6ef6788726"),
+    "tfi": (None, "5afe99e1c38c2479c74fd25eaa182f7a90fd4c23df99c6e2ee9a0b764c870724"),
+    "ast": (None, "39af817917dd932f6f1165eb15bfb55d6b7a809620ddf15f1b5daf1631f5f03d"),
+    "recurrent": (None, "10ee6b8678ea70e995c7795bd5eb7c333fb7198ee4b0af86c46000eebe3904bd"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(LIBRARY_CASES))
+def test_reconstruct_float64_outputs_are_golden(method):
+    # The CLI goldens quantize to 16 bits; these pin every bit.
+    stream, calib = _library_recording()
+    window, digest = LIBRARY_CASES[method]
+    images = reconstruct(stream, method, LIBRARY_TICKS, calib, window=window)
+    assert _sha(np.stack(images).astype("<f8").tobytes()) == digest
+
+
+@given(
+    side=st.sampled_from([(8, 8), (8, 16), (16, 8)]),
+    length=st.integers(1, 300),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    method=st.sampled_from(METHODS),
+    window=st.integers(1, 400),
+    data=st.data(),
+)
+def test_every_method_returns_finite_images_in_full_scale(
+    side, length, density, seed, method, window, data
+):
+    height, width = side
+    rng = np.random.default_rng(seed)
+    stream = SpikeStream.from_dense(rng.random((length, height, width)) < density)
+    calib = synthetic_calibration(width, height, seed=seed)
+    ticks = sorted(data.draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=4)))
+    images = reconstruct(
+        stream, method, ticks, calib, window=window if method == "tfp" else None
+    )
+    for image in images:
+        assert image.shape == (height, width)
+        assert np.isfinite(image).all()
+        assert image.min() >= 0.0 and image.max() <= 255.0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spikecam.calibration import identity_calibration
+from spikecam.calibration import identity_calibration, make_calibration
 from spikecam.noise import (
     NoiseConfig,
     TruncationDistribution,
@@ -266,6 +266,24 @@ def test_windowed_readout_rounds_rate_to_window_grid():
     assert len(values) == 2
     # expectation is the true rate: mean within 3 sigma of 51
     assert abs(out.mean() - 51.0) < 0.2
+
+
+def test_nonuniform_observation_without_dark_noise_adds_the_mean_dark_current():
+    # Dark current 255/32 with no light discharges every 32 ticks at R = 1
+    # and every 16 at R = 2, so a 64-tick window sees exactly 2 and 4 spikes.
+    R = np.ones((8, 8))
+    R[:, 4:] = 2.0
+    calib = make_calibration(np.full((8, 8), 255.0 / 32), R)
+    config = NoiseConfig(
+        enable_shot=False,
+        enable_dark=False,
+        enable_nonuniformity=True,
+        enable_quantization=False,
+        rng_seed=15,
+    )
+    out = apply_imaging_model(np.zeros((8, 8)), calib, config, window=64)
+    np.testing.assert_array_equal(out[:, :4], 255.0 * 2 / 64)
+    np.testing.assert_array_equal(out[:, 4:], 255.0 * 4 / 64)
 
 
 def test_shot_observation_is_unbiased():
