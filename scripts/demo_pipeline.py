@@ -52,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spacing = args.length // (args.steps + 1)
     ticks = [spacing * (k + 1) for k in range(args.steps)]
-    raw = np.clip(tfp(stream, ticks[-1], 64), 0.0, 255.0)
+    raw = tfp(stream, ticks[-1], 64)
     write_image(raw, str(out / "tfp_w64.pgm"), bit_depth=16)
     print(f"scene {scene.name}, theta {theta:.4f}, {args.length} ticks")
     print(f"tfp w=64 baseline: psnr {psnr(gt, raw):.2f} ssim {ssim(gt, raw):.4f}")

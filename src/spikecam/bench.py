@@ -28,8 +28,8 @@ from .metrics import psnr, ssim
 from .noise import NoiseConfig, make_rng, split_rng
 from .reconstruct import RecurrentRestorer, check_method, reconstruct
 from .simulate import SimulationRequest, simulate
-from .streams import SpikeStream, validate_image
-from .wavelet import PYRAMID_LEVELS
+from .streams import FULL_SCALE, SpikeStream, validate_image
+from .wavelet import check_pyramid_shape
 
 log = logging.getLogger(__name__)
 
@@ -40,8 +40,6 @@ DENSITY_CLASS_THRESHOLD = 0.1
 
 STAGE_NAMES = ("input", "fpn", "fuse", "denoise", "refine")
 
-_FULL_SCALE = 255.0
-
 
 def theta_for_density(image: np.ndarray, density: float) -> float:
     """Exposure factor that puts the brightest pixel at the given density."""
@@ -51,7 +49,7 @@ def theta_for_density(image: np.ndarray, density: float) -> float:
         raise ValueError("image has no positive pixels; cannot set an exposure")
     if not 0 < density <= 1:
         raise ValueError(f"target density must be in (0, 1], got {density}")
-    return density * _FULL_SCALE / peak
+    return density * FULL_SCALE / peak
 
 
 # ----------------------------------------------------------------------
@@ -78,8 +76,7 @@ def make_scenes(size: int = 96) -> list[Scene]:
     low-light regime; shapes cover smooth blobs, ramps, periodic bars,
     rings, and a hard-edged plateau.
     """
-    if size % 2**PYRAMID_LEVELS:
-        raise ValueError(f"scene size must be divisible by {2**PYRAMID_LEVELS}, got {size}")
+    check_pyramid_shape((size, size))
     axis = np.arange(size) / (size - 1)
     xx, yy = np.meshgrid(axis, axis)
     lo, span = 64.0, 191.0
@@ -329,7 +326,7 @@ def run_benchmark(
             source=scene.image, theta=theta, length=length, calib=calib, noise=cfg
         )
         stream = simulate(req, rng)
-        gt = np.clip(theta * scene.image, 0.0, _FULL_SCALE)
+        gt = np.clip(theta * scene.image, 0.0, FULL_SCALE)
         peak_density = float(stream.density_map(0, length).max())
         illum = "high" if peak_density >= DENSITY_CLASS_THRESHOLD else "low"
         return [

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .streams import FULL_SCALE
+
 __all__ = ["psnr", "ssim"]
 
-_PEAK = 255.0
 _SSIM_WINDOW = 11
 _SSIM_SIGMA = 1.5
-_C1 = (0.01 * _PEAK) ** 2
-_C2 = (0.03 * _PEAK) ** 2
+_C1 = (0.01 * FULL_SCALE) ** 2
+_C2 = (0.03 * FULL_SCALE) ** 2
 
 
 def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -30,7 +31,7 @@ def psnr(a, b) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(_PEAK * _PEAK / mse))
+    return float(10.0 * np.log10(FULL_SCALE * FULL_SCALE / mse))
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:

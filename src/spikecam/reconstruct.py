@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationData
-from .streams import SpikeStream, validate_image
+from .streams import FULL_SCALE, SpikeStream, validate_image
 from .wavelet import (
     PYRAMID_LEVELS,
     DetailBands,
     Subbands,
     WaveletPyramid,
     build_pyramid,
+    check_pyramid_shape,
     collapse_pyramid,
     dwt_inverse,
 )
@@ -51,8 +52,6 @@ __all__ = [
     "tfp",
     "wavelet_denoise",
 ]
-
-_FULL_SCALE = 255.0
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +77,7 @@ def tfp(stream: SpikeStream, t: int, w: int) -> np.ndarray:
     lo = int(t) - w // 2
     lo, hi = stream._clip_ticks(lo, lo + w)
     # 255 * count / n, in this order: 255 * (count / n) differs in the last bit
-    return _FULL_SCALE * stream.count_map(lo, hi) / float(hi - lo)
+    return FULL_SCALE * stream.count_map(lo, hi) / float(hi - lo)
 
 
 def tfi(stream: SpikeStream, t: int) -> np.ndarray:
@@ -98,7 +97,7 @@ def tfi(stream: SpikeStream, t: int) -> np.ndarray:
     lacking = (no_prev & (n2 < 0)) | (no_next & (p2 < 0))
 
     with np.errstate(divide="ignore"):
-        out = _FULL_SCALE / isi
+        out = FULL_SCALE / isi
     return np.where(lacking, 0.0, out)
 
 
@@ -172,7 +171,7 @@ def adaptive_transform(
 
     rate = stream.window_counts(a, b) / (b - a)
     state.density_map = 0.5 * density + 0.5 * rate
-    return _FULL_SCALE * rate
+    return FULL_SCALE * rate
 
 
 def correct_fixed_pattern(image: np.ndarray, calib: CalibrationData) -> np.ndarray:
@@ -183,9 +182,9 @@ def correct_fixed_pattern(image: np.ndarray, calib: CalibrationData) -> np.ndarr
     """
     img = validate_image(image, "image")
     calib.require_shape(img.shape)
-    rate = img / _FULL_SCALE
+    rate = img / FULL_SCALE
     corrected = rate * calib.Q_r - calib.L_d
-    return np.clip(corrected, 0.0, _FULL_SCALE)
+    return np.clip(corrected, 0.0, FULL_SCALE)
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +225,7 @@ def fusion_mask(cur_ll, prev_ll, params: RestorerParams) -> np.ndarray:
     never locks up.
     """
     diff = np.abs(np.asarray(cur_ll, dtype=np.float64) - prev_ll)
-    m = diff / (params.fusion_tau * _FULL_SCALE) + params.fusion_floor
+    m = diff / (params.fusion_tau * FULL_SCALE) + params.fusion_floor
     return np.clip(m, params.fusion_floor, 1.0)
 
 
@@ -359,12 +358,7 @@ class RecurrentRestorer:
     ) -> None:
         self.params = params if params is not None else RestorerParams()
         calib.require_shape((stream.height, stream.width))
-        div = 2**PYRAMID_LEVELS
-        if stream.height % div or stream.width % div:
-            raise ValueError(
-                f"sensor dimensions must be divisible by {div} for the wavelet "
-                f"pyramid, got {stream.width}x{stream.height}"
-            )
+        check_pyramid_shape((stream.height, stream.width))
         self.stream = stream
         self.calib = calib
         self.causal = causal
@@ -392,9 +386,9 @@ class RecurrentRestorer:
             tick=t,
             adaptive=adaptive,
             corrected=corrected,
-            fused=np.clip(collapse_pyramid(fused), 0.0, _FULL_SCALE),
-            denoised=np.clip(collapse_pyramid(denoised), 0.0, _FULL_SCALE),
-            output=np.clip(collapse_pyramid(refined), 0.0, _FULL_SCALE),
+            fused=np.clip(collapse_pyramid(fused), 0.0, FULL_SCALE),
+            denoised=np.clip(collapse_pyramid(denoised), 0.0, FULL_SCALE),
+            output=np.clip(collapse_pyramid(refined), 0.0, FULL_SCALE),
             masks=masks,
         )
 

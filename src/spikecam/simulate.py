@@ -42,8 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationData, identity_calibration
-from .noise import NoiseConfig, make_rng, split_rng
-from .streams import SpikeStream, frame_bytes, validate_image
+from .noise import _MIN_DISCHARGE, NoiseConfig, _effective_gain, make_rng, split_rng
+from .streams import FULL_SCALE, SpikeStream, frame_bytes, validate_image
 
 __all__ = ["SimulationRequest", "simulate", "simulate_ideal"]
 
@@ -57,10 +57,6 @@ _BLOCK_BUDGET = 4_000_000
 # draw's temporaries.
 _CHUNK_TICKS = 64
 _CHUNK_PIXEL_TICKS = 1 << 20
-
-# Discharge times are floored here after jitter so a very bright pixel
-# cannot produce a nonpositive discharge time.
-_MIN_DISCHARGE = 1e-9
 
 # Cells (spikes plus one tail per pixel, padded) the arrival path works
 # on at a time; this bounds its temporaries and changes no variate.
@@ -85,15 +81,17 @@ class SimulationRequest:
     noise: NoiseConfig = field(default_factory=NoiseConfig.none)
 
     def __post_init__(self) -> None:
-        src = np.asarray(self.source, dtype=np.float64)
+        # one float64 copy converts and freezes the source; a sequence is checked
+        # by min and max (both carry any nan), so no temporary of its size is made
+        src = np.array(self.source, dtype=np.float64)
         if src.ndim == 2:
-            src = validate_image(src, "source").copy()
+            validate_image(src, "source")
         elif src.ndim == 3:
-            if not np.isfinite(src).all():
+            lo, hi = src.min(initial=0.0), src.max(initial=0.0)
+            if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError("source sequence must be finite")
-            if (src < 0).any():
+            if lo < 0:
                 raise ValueError("source sequence must be nonnegative")
-            src = src.copy()
         else:
             raise ValueError(
                 f"source must be 2-d (h, w) or 3-d (frames, h, w), got shape {src.shape}"
@@ -171,21 +169,6 @@ def simulate_ideal(
 # general per-tick path
 
 
-def _effective_gain(
-    calib: CalibrationData, cfg: NoiseConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat per-pixel (gain, counts-per-spike) under the active flags.
-
-    With nonuniformity disabled the sensor is ideal: unit gain and a
-    full well of 255 counts everywhere.
-    """
-    threshold = calib.clock.max_intensity
-    if cfg.enable_nonuniformity:
-        return calib.R.ravel(), calib.Q_r.ravel()
-    n = calib.R.size
-    return np.ones(n), np.full(n, threshold)
-
-
 def _simulate_ticks(
     req: SimulationRequest, calib: CalibrationData, rng: np.random.Generator
 ) -> np.ndarray:
@@ -193,7 +176,7 @@ def _simulate_ticks(
     cfg = req.noise
     h, w = req.frame_shape
     n_pixels = h * w
-    threshold = calib.clock.max_intensity
+    threshold = FULL_SCALE
     length = req.length
 
     gain, _ = _effective_gain(calib, cfg)

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The digital intensity scale: the firing threshold and the top of every image.
+FULL_SCALE = 255.0
+
 
 @dataclass(frozen=True)
 class ClockParams:
@@ -26,12 +29,12 @@ class ClockParams:
     """
 
     tick_seconds: float = 50e-6
-    max_intensity: float = 255.0
+    max_intensity: float = FULL_SCALE
 
     def __post_init__(self) -> None:
         if not (self.tick_seconds > 0 and np.isfinite(self.tick_seconds)):
             raise ValueError(f"tick_seconds must be positive and finite, got {self.tick_seconds}")
-        if self.max_intensity != 255.0:
+        if self.max_intensity != FULL_SCALE:
             raise ValueError(f"max_intensity is fixed at 255, got {self.max_intensity}")
 
 

@@ -104,6 +104,16 @@ class WaveletPyramid:
         return total
 
 
+def check_pyramid_shape(shape: tuple[int, int]) -> None:
+    """Raise ValueError unless both sides of an (h, w) shape divide by 2**PYRAMID_LEVELS."""
+    h, w = shape
+    div = 2**PYRAMID_LEVELS
+    if h % div or w % div:
+        raise ValueError(
+            f"sensor dimensions must be divisible by {div} for the wavelet pyramid, got {w}x{h}"
+        )
+
+
 def build_pyramid(image: np.ndarray, levels: int = PYRAMID_LEVELS) -> WaveletPyramid:
     """Decompose an image whose dimensions are divisible by 2**levels."""
     x = np.asarray(image, dtype=np.float64)
@@ -111,13 +121,7 @@ def build_pyramid(image: np.ndarray, levels: int = PYRAMID_LEVELS) -> WaveletPyr
         raise ValueError(f"expected a 2-d image, got shape {x.shape}")
     if levels != PYRAMID_LEVELS:
         raise ValueError(f"pyramid depth is fixed at {PYRAMID_LEVELS}")
-    h, w = x.shape
-    div = 2**levels
-    if h % div or w % div:
-        raise ValueError(
-            f"image dimensions must be divisible by {div} for a {levels}-level pyramid, "
-            f"got {h}x{w}"
-        )
+    check_pyramid_shape(x.shape)
     details = []
     approx = x
     for _ in range(levels):

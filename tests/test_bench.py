@@ -501,3 +501,15 @@ def test_report_text_includes_error():
     assert "error='ValueError: boom'" in report.to_text()
     csv = report.to_csv().strip().split("\n")[1]
     assert csv.endswith("ValueError: boom")
+
+
+def test_summary_splits_psnr_by_illumination():
+    rows = tuple(
+        BenchRow(
+            scene="x", illumination=illum, method="tfp", parameter="w=16",
+            psnr=psnr, ssim=0.5, runtime=0.0,
+        )
+        for illum, psnr in (("low", 20.0), ("high", 30.0), ("high", 34.0))
+    )
+    summary = BenchmarkReport(seed=0, scenes=("x",), rows=rows).to_summary().splitlines()
+    assert summary[2].split() == ["tfp", "20.00", "32.00", "28.00", "0.5000"]

@@ -152,6 +152,12 @@ def test_dark_equivalent_double_interval_recovers_l1():
     assert L_d[0, 0] == 30.0
 
 
+def test_dark_equivalent_keeps_a_pixel_firing_every_tick():
+    # T_1 = 1 is the shortest interval there is, not a bad one
+    L_d = estimate_dark_equivalent(np.array([[10.0]]), np.array([[1.0]]), L_1=30.0)
+    assert L_d[0, 0] == pytest.approx(30.0 / 9.0)
+
+
 def test_dark_equivalent_masks_inconsistent_pixels():
     T_d = np.array([[20.0, 10.0, np.inf]])
     T_1 = np.array([[20.0, 20.0, np.inf]])
@@ -308,6 +314,16 @@ def test_build_calibration_quality_limit():
     light2 = periodic_stream(periods, length=400)
     with pytest.raises(CalibrationQualityError):
         build_calibration(dark, light1, 51.0, light2, 85.0)
+
+
+def test_build_calibration_quality_error_states_the_masked_share():
+    periods = np.full((4, 4), 5.0)
+    periods[0, 0] = np.inf
+    periods[3, 1] = np.inf
+    dark = periodic_stream(np.full((4, 4), np.inf), length=400)
+    light = periodic_stream(periods, length=400)
+    with pytest.raises(CalibrationQualityError, match=r"2 of 16 pixels \(12\.5%\) failed .* limit is 10%"):
+        build_calibration(dark, light, 51.0, light, 85.0)
 
 
 def test_build_calibration_quality_limit_is_adjustable():

@@ -20,11 +20,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spikecam.bench import make_scenes, synthetic_calibration, theta_for_density
-from spikecam.calibration import CalibrationData, make_calibration
+from spikecam.calibration import CalibrationData, build_calibration, make_calibration
 from spikecam.cli import main
 from spikecam.formats import write_calibration, write_image, write_stream
 from spikecam.noise import NoiseConfig, make_rng
-from spikecam.reconstruct import METHODS, reconstruct
+from spikecam.reconstruct import METHODS, RecurrentRestorer, reconstruct
 from spikecam.simulate import SimulationRequest, simulate
 from spikecam.streams import SpikeStream
 
@@ -129,6 +129,23 @@ def test_arrival_memory_does_not_grow_with_spike_count(length):
     finally:
         tracemalloc.stop()
     assert peak - stream.bits.nbytes <= 8 * 2**20
+
+
+# ----------------------------------------------------------------------
+# calibration
+
+
+CALIBRATION_DIGEST = "aa7b85ab1aebe5104d6b1624af41695ef6b583495478fe9a7f187861078c37cd"
+
+
+def test_calibration_file_is_golden(tmp_path):
+    # The three arrival-path recordings above, calibrated and written out.
+    dark, light1, light2 = (
+        simulate(req, make_rng(11 + k)) for k, req in enumerate(_calibrate_scenes())
+    )
+    path = tmp_path / "sensor.cal"
+    write_calibration(build_calibration(dark, light1, 30.0, light2, 60.0), str(path))
+    assert _sha(path.read_bytes()) == CALIBRATION_DIGEST
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +271,32 @@ def test_reconstruct_float64_outputs_are_golden(method):
     window, digest = LIBRARY_CASES[method]
     images = reconstruct(stream, method, LIBRARY_TICKS, calib, window=window)
     assert _sha(np.stack(images).astype("<f8").tobytes()) == digest
+
+
+# StepResult field: sha256 of its little-endian float64 images at
+# STEP_TICKS, stacked; masks joins every level's mask of every step.
+STEP_DIGESTS = {
+    "adaptive": "8e1ad8dd9ff56b99ae6bcada40730f10dab69fc2bb5d4745abdb953688c3d0f0",
+    "corrected": "a81b86430d8799e0efbca803f3f5f4a1349cbd3c469ebf1288315576a3198a36",
+    "fused": "c2532feebf16fbc100a68f57633c311ec74bf34330d09a82caeda7c0908b6f5e",
+    "denoised": "54aac86fd477d98782bd1f04bf7412094edbe858672dba3686a94bbff0164fd0",
+    "output": "b8df3ef42a9cc862afdb92539b89c5ff88aff2d851042048d45a4727df1b2909",
+    "masks": "9ef81ab166846e366d6b66d20f10378384b562891a7b7740a0354c36b7868dcb",
+}
+STEP_TICKS = (40, 128, 200)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_DIGESTS))
+def test_restorer_step_results_are_golden(name):
+    stream, calib = _library_recording()
+    restorer = RecurrentRestorer(stream, calib)
+    results = [restorer.step(t) for t in STEP_TICKS]
+    if name == "masks":
+        arrays = [mask for r in results for mask in r.masks]
+    else:
+        arrays = [getattr(r, name) for r in results]
+    data = b"".join(a.astype("<f8").tobytes() for a in arrays)
+    assert _sha(data) == STEP_DIGESTS[name]
 
 
 @given(

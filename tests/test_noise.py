@@ -134,6 +134,15 @@ def test_truncation_expectation_is_true_rate(period, window):
     assert len(dist.outcomes) <= 2
 
 
+def test_truncation_repairs_a_bracket_that_float_division_overshoots():
+    # 5 / period rounds to just above 3, so ceil guesses k = 3, but
+    # 3 * period rounds to exactly 5: the window holds 3 spikes, never 4.
+    period = float(np.nextafter(5.0 / 3.0, 0.0))
+    assert 3 * period == 5.0 and 5.0 / period > 3.0
+    dist = truncation_distribution(period, 5)
+    assert [rate for rate, _ in dist.outcomes] == [0.6]
+
+
 def test_truncation_sampling_is_supported_and_seeded():
     dist = truncation_distribution(3.0, 10)
     draws = dist.sample(make_rng(9), size=1000)
@@ -163,6 +172,12 @@ def test_make_rng_seed_range():
         make_rng(-1)
     with pytest.raises(ValueError):
         make_rng(2**64)
+
+
+def test_noise_config_takes_every_64_bit_seed():
+    assert NoiseConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+    with pytest.raises(ValueError):
+        NoiseConfig(rng_seed=2**64)
 
 
 def test_split_rng_children_are_independent_and_reproducible():
@@ -310,6 +325,21 @@ def test_zero_intensity_stays_silent():
     )
     out = apply_imaging_model(np.zeros((16, 16)), calib, config, window=64)
     np.testing.assert_array_equal(out, 0.0)
+
+
+def test_observation_below_one_count_per_tick_still_fires():
+    # intensity 0.5 discharges every 510 ticks: 2 or 3 spikes in 1024
+    calib = identity_calibration(8, 8)
+    config = NoiseConfig(
+        enable_shot=False,
+        enable_dark=True,
+        enable_nonuniformity=False,
+        enable_quantization=False,
+        rng_seed=15,
+    )
+    out = apply_imaging_model(np.full((8, 8), 0.5), calib, config, window=1024)
+    assert set(np.unique(out)) <= {255.0 * 2 / 1024, 255.0 * 3 / 1024}
+    assert (out > 0).all()
 
 
 def test_observation_rate_is_capped_at_one_per_tick():

@@ -111,6 +111,12 @@ def test_tfi_all_spikes_after_tick_uses_first_interval():
     assert tfi(stream, 5)[0, 0] == 255.0 / 6.0
 
 
+def test_tfi_previous_spike_at_tick_zero_counts():
+    # tick 0 is a spike like any other: the interval is 0..10
+    stream = stream_from_ticks([0, 10], 20)
+    assert tfi(stream, 5)[0, 0] == 25.5
+
+
 def test_tfi_last_tick_of_stream():
     stream = stream_from_ticks([3, 9], 10)
     assert tfi(stream, 9)[0, 0] == 255.0 / 6.0
@@ -305,6 +311,12 @@ def test_fixed_pattern_validates_shape():
 
 # ----------------------------------------------------------------------
 # pipeline parameters
+
+
+def test_params_accept_their_boundary_values():
+    params = RestorerParams(denoise_k=0.0, refine_beta=1.0)
+    assert (params.denoise_k, params.refine_beta) == (0.0, 1.0)
+    assert RestorerParams(denoise_k=0.5, refine_beta=0.0).denoise_k == 0.5
 
 
 def test_params_defaults():

@@ -62,6 +62,38 @@ def test_request_source_is_frozen():
         req.source[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+def test_request_copies_its_source_once(dtype):
+    # The float64 copy is the only large allocation: the sequence checks
+    # make no temporary of its size.
+    frames = np.full((64, 128, 128), 7, dtype=dtype)
+    tracemalloc.start()
+    try:
+        req = SimulationRequest(source=frames, length=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert req.source.dtype == np.float64 and req.source.nbytes == 8 * 2**20
+    assert peak <= 1.02 * req.source.nbytes
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int16, object])
+def test_request_checks_a_sequence_of_any_numeric_dtype(dtype):
+    frames = np.full((3, 4, 4), 7, dtype=dtype)
+    assert SimulationRequest(source=frames, length=3).source.dtype == np.float64
+    bad = frames.copy()
+    bad[1, 2, 3] = -1
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        SimulationRequest(source=bad, length=3)
+    if dtype != np.int16:
+        for value in (np.nan, np.inf, -np.inf):
+            bad = frames.copy()
+            bad[2, 0, 1] = value
+            bad[0, 0, 0] = -1  # a non-finite value is reported first
+            with pytest.raises(ValueError, match="must be finite"):
+                SimulationRequest(source=bad, length=3)
+
+
 # ----------------------------------------------------------------------
 # exact noise-free behavior
 
@@ -250,6 +282,50 @@ def test_static_and_sequence_shot_paths_agree_statistically():
     # per-pixel photon total is Poisson(102000); the partial last well
     # shaves E[N mod 255] / 255, about half a spike
     assert abs(counts_a.mean() - 399.5) < 0.25
+
+
+def _count_and_interval_stats(stream):
+    """Per-pixel count mean and variance, and the inter-spike-interval histogram."""
+    counts = stream.count_map(0, stream.length).astype(np.float64)
+    pix, tick = np.nonzero(stream.to_dense().reshape(stream.length, -1).T)
+    intervals = np.diff(tick)[pix[1:] == pix[:-1]]
+    hist = np.bincount(intervals, minlength=stream.length) / max(intervals.size, 1)
+    return counts.mean(), counts.var(), hist
+
+
+@pytest.mark.parametrize(
+    "level, all_sources",
+    [(25, False), (128, False), (230, False), (255, False), (400, False), (5, True), (128, True)],
+)
+def test_arrival_and_per_tick_paths_agree_statistically(level, all_sources):
+    # The static frame takes the arrival path; the same frame as a
+    # sequence takes the per-tick path.  Shot-only cases use an ideal
+    # sensor: with a nonzero L_d and dark noise off, both would tick.
+    # Bounds: over seeds 0-12, |mean difference| <= 0.33 spikes, variance
+    # ratios lay in 0.87-1.11 and histogram bins differed by <= 0.0035.
+    h, w, length = 32, 32, 4000
+    frame = np.full((h, w), float(level))
+    if all_sources:
+        calib = synthetic_calibration(w, h, seed=3)
+        noise = NoiseConfig(enable_quantization=False, rng_seed=3)
+    else:
+        calib = identity_calibration(w, h)
+        noise = NoiseConfig(
+            enable_dark=False, enable_nonuniformity=False, enable_quantization=False, rng_seed=3
+        )
+    arrival = SimulationRequest(source=frame, length=length, calib=calib, noise=noise)
+    per_tick = SimulationRequest(
+        source=np.broadcast_to(frame, (length, h, w)), length=length, calib=calib, noise=noise
+    )
+    mean_a, var_a, hist_a = _count_and_interval_stats(simulate(arrival))
+    mean_t, var_t, hist_t = _count_and_interval_stats(simulate(per_tick))
+    assert abs(mean_a - mean_t) < 0.5
+    if level == 400:
+        # well over a well per tick: every pixel fires on every tick
+        assert var_a == var_t == 0.0
+    else:
+        assert 0.8 < var_a / var_t < 1.25
+    assert np.abs(hist_a - hist_t).max() < 0.006
 
 
 def test_full_noise_stream_is_well_formed():

@@ -98,6 +98,13 @@ def test_padding_bits_are_masked():
     assert stream.bits[0, 0] == 0b101
 
 
+def test_padding_bits_are_masked_past_the_first_byte():
+    # 3x3 sensor: pixel 8 is bit 0 of the second byte, the rest is padding
+    payload = np.array([[0xFF, 0b11111111]], dtype=np.uint8)
+    stream = SpikeStream.from_packed(payload, width=3, height=3)
+    assert stream.bits.tolist() == [[0xFF, 0b1]]
+
+
 def test_bits_are_immutable():
     stream = SpikeStream.from_dense(np.ones((2, 2, 2), dtype=bool))
     with pytest.raises(ValueError):
@@ -206,6 +213,13 @@ def test_spike_density_clips_window_to_stream():
     assert stream.spike_density(0, 0, -4, 8) == 1.0
 
 
+def test_spike_density_rejects_pixels_outside_the_sensor():
+    stream = SpikeStream.from_dense(np.ones((4, 2, 3), dtype=bool))
+    for x, y in [(3, 0), (0, 2), (-1, 0), (0, -1)]:
+        with pytest.raises(IndexError):
+            stream.spike_density(x, y, 0, 4)
+
+
 def test_spike_density_rejects_empty_window():
     stream = SpikeStream.from_dense(np.ones((4, 1, 1), dtype=bool))
     with pytest.raises(ValueError):
@@ -301,6 +315,14 @@ def test_spike_edge_map_crosses_chunk_boundaries():
     last2 = stream.spike_edge_map(0, 9000, from_end=True, n=2)
     np.testing.assert_array_equal(last2[:, 0, 0], [5000, 10])
     np.testing.assert_array_equal(last2[:, 0, 1], [4096, 4095])
+
+
+def test_spike_edge_map_defaults_to_the_first_spike():
+    dense = np.zeros((6, 2, 3), dtype=bool)
+    dense[[2, 4], 1, 2] = True
+    edges = SpikeStream.from_dense(dense).spike_edge_map(0, 6)
+    assert edges.shape == (1, 2, 3)
+    assert edges[0, 1, 2] == 2 and (edges.ravel()[:-1] == -1).all()
 
 
 def test_spike_edge_map_rejects_bad_n():
