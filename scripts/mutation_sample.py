@@ -13,9 +13,12 @@ edited.  For each mutant, tests/test_<module>.py and tests/test_golden.py
 run with -x.  A mutant they pass survives, and is printed with its line.
 
 The unmutated module, passed through the same ast.unparse as every
-mutant so that the two differ only by the mutation, is tested first and
-must pass.  A mutant that runs ten times longer than it did (at least
-a minute) is stopped and counted as killed.
+mutant so that the two differ only by the mutation, is tested first.
+Tests that fail there are named in the report and deselected from every
+mutant's run, so a mutant is killed only when a test that passed
+unmutated fails.  If pytest cannot run the unmutated tests, or none of
+them passes, no mutant is run.  A mutant that runs ten times longer than the unmutated tests
+did (at least a minute) is stopped and counted as killed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import argparse
 import ast
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -95,15 +99,33 @@ def _mutant(source: str, index: int, operand: int) -> str:
     return ast.unparse(tree)
 
 
-def _run_tests(repo: Path, tests: list[str], timeout: float | None) -> str:
-    """'pass', 'fail' or 'timeout' for one pytest run in the copy."""
+def _pytest(repo: Path, args: list[str], timeout: float | None = None):
     env = dict(os.environ, PYTHONPATH=str(repo / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args]
+    return subprocess.run(
+        cmd, cwd=repo, env=env, timeout=timeout,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+
+
+def _baseline_failures(repo: Path, tests: list[str]) -> list[str] | None:
+    """Node ids of the tests that fail unmutated; None if pytest could not
+    run them or none of them passed."""
+    done = _pytest(repo, ["-rfE", *tests])
+    # exit code 1 means some tests failed; any other but 0 gives no verdict
+    if done.returncode not in (0, 1) or not re.search(r"\b\d+ passed\b", done.stdout):
+        return None
+    return [
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in done.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+
+
+def _run_tests(repo: Path, tests: list[str], timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for one pytest run in the copy."""
     try:
-        done = subprocess.run(
-            cmd, cwd=repo, env=env, timeout=timeout,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        done = _pytest(repo, ["-x", *tests], timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
@@ -134,10 +156,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         (repo / rel).write_text(ast.unparse(ast.parse(source)))
         start = time.monotonic()
-        if _run_tests(repo, tests, None) != "pass":
-            print("the unmutated tests fail; no mutant was run", file=sys.stderr)
+        failing = _baseline_failures(repo, tests)
+        if failing is None:
+            print("no unmutated test passes; no mutant was run", file=sys.stderr)
             return 2
         timeout = max(60.0, 10.0 * (time.monotonic() - start))
+        for node in failing:
+            print(f"fails unmutated, left out of every mutant's run: {node}", flush=True)
+        tests = [*tests, *(f"--deselect={node}" for node in failing)]
         for line, index, operand, desc in sample:
             (repo / rel).write_text(_mutant(source, index, operand))
             outcome = _run_tests(repo, tests, timeout)

@@ -22,17 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streams import ClockParams, SpikeStream
+from .streams import FULL_SCALE, ClockParams, SpikeStream
 
 log = logging.getLogger(__name__)
 
 
-def _derived_maps(
-    L_d: np.ndarray, R: np.ndarray, clock: ClockParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _derived_maps(L_d: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Q_r = 255 / R and D_dark = Q_r / L_d (inf where L_d == 0)."""
     with np.errstate(divide="ignore"):
-        Q_r = clock.max_intensity / R
+        Q_r = FULL_SCALE / R
         return Q_r, np.where(L_d > 0, Q_r / L_d, np.inf)
 
 
@@ -77,7 +75,7 @@ class CalibrationData:
             raise ValueError("L_d must be finite and nonnegative")
         if not np.isfinite(maps["R"]).all() or (maps["R"] <= 0).any():
             raise ValueError("R must be finite and positive")
-        Q_r, D_dark = _derived_maps(maps["L_d"], maps["R"], self.clock)
+        Q_r, D_dark = _derived_maps(maps["L_d"], maps["R"])
         if not np.array_equal(maps["Q_r"], Q_r):
             raise ValueError("Q_r must equal 255 / R elementwise")
         if not np.array_equal(maps["D_dark"], D_dark):
@@ -122,7 +120,7 @@ def make_calibration(
     clock = clock or ClockParams()
     L_d = np.asarray(L_d, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
-    Q_r, D_dark = _derived_maps(L_d, R, clock)
+    Q_r, D_dark = _derived_maps(L_d, R)
     return CalibrationData(
         L_d=L_d, R=R, Q_r=Q_r, D_dark=D_dark, reference_pixel=reference_pixel, clock=clock
     )

@@ -40,7 +40,7 @@ from .formats import (
     write_stream,
 )
 from .metrics import psnr, ssim
-from .noise import NoiseConfig
+from .noise import NoiseConfig, check_seed
 from .reconstruct import check_method, reconstruct
 from .simulate import SimulationRequest, simulate
 from .streams import SpikeStream
@@ -110,7 +110,8 @@ def _number(parse, accept, expected: str):
 
 _positive = _number(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
 _positive_int = _number(int, lambda v: v >= 1, "a positive integer")
-_seed = _number(int, lambda v: 0 <= v < 2**64, "a seed in [0, 2**64)")
+# check_seed parses the text and checks the range in one call
+_seed = _number(check_seed, lambda v: True, "a seed in [0, 2**64)")
 
 
 def _parse_light(spec: str) -> tuple[str, float]:

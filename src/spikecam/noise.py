@@ -31,11 +31,17 @@ _U64_MAX = 2**64 - 1
 _MIN_DISCHARGE = 1e-9
 
 
+def check_seed(seed, name: str = "seed") -> int:
+    """seed as an int; ValueError unless it is in [0, 2**64)."""
+    value = int(seed)
+    if not 0 <= value <= _U64_MAX:
+        raise ValueError(f"{name} must fit in 64 bits, got {seed}")
+    return value
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded counter-based generator (Philox)."""
-    if not (0 <= int(seed) <= _U64_MAX):
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
 def split_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
@@ -54,8 +60,7 @@ class NoiseConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.rng_seed) <= _U64_MAX):
-            raise ValueError(f"rng_seed must fit in 64 bits, got {self.rng_seed}")
+        check_seed(self.rng_seed, "rng_seed")
 
     @classmethod
     def all(cls, seed: int = 0) -> "NoiseConfig":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationData
-from .streams import FULL_SCALE, SpikeStream, validate_image
+from .streams import FULL_SCALE, SpikeStream, TickGroupRing, validate_image
 from .wavelet import (
     PYRAMID_LEVELS,
     DetailBands,
@@ -123,10 +123,15 @@ def ast_window(density):
 
 @dataclass
 class RestorerState:
-    """Recurrent state: last fused pyramid plus the density estimate."""
+    """Recurrent state: last fused pyramid plus the density estimate.
+
+    tick_groups keeps the transposed ticks the last adaptive transform
+    read, so the next one transposes only the ticks it has not seen.
+    """
 
     density_map: np.ndarray
     prev_fused: WaveletPyramid | None = None
+    tick_groups: TickGroupRing = field(default_factory=TickGroupRing, repr=False, compare=False)
 
 
 def adaptive_transform(
@@ -169,7 +174,7 @@ def adaptive_transform(
     np.clip(a, 0, stream.length, out=a)
     np.clip(b, 0, stream.length, out=b)
 
-    rate = stream.window_counts(a, b) / (b - a)
+    rate = state.tick_groups.window_counts(stream, a, b) / (b - a)
     state.density_map = 0.5 * density + 0.5 * rate
     return FULL_SCALE * rate
 

@@ -248,6 +248,23 @@ def test_nonuniformity_rejects_unusable_reference():
         estimate_nonuniformity(T_2, L_d, L_2=50.0, reference_pixel=(0, 0))
 
 
+def test_nonuniformity_rejects_a_zero_second_level():
+    T_2 = np.array([[4.0, 4.0]])
+    L_d = np.array([[1.0, 2.0]])
+    for L_2 in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="L_2 must be a positive finite scalar"):
+            estimate_nonuniformity(T_2, L_d, L_2=L_2, reference_pixel=(0, 0))
+
+
+def test_nonuniformity_reference_interval_of_one_tick():
+    # a reference firing every tick is usable; one with a zero interval is not
+    L_d = np.array([[0.0, 0.0]])
+    R = estimate_nonuniformity(np.array([[1.0, 2.0]]), L_d, L_2=50.0, reference_pixel=(0, 0))
+    assert R[0, 0] == 1.0 and R[0, 1] == 0.5
+    with pytest.raises(CalibrationError):
+        estimate_nonuniformity(np.array([[0.0, 2.0]]), L_d, L_2=50.0, reference_pixel=(0, 0))
+
+
 # ----------------------------------------------------------------------
 # full procedure
 
@@ -347,6 +364,25 @@ def test_build_calibration_rejects_mismatched_streams():
         build_calibration(dark, small, 51.0, big, 85.0)
     with pytest.raises(ValueError):
         build_calibration(dark, big, 51.0, small, 85.0)
+
+
+def test_build_calibration_names_both_sizes_when_streams_differ():
+    dark = periodic_stream(np.full((2, 3), np.inf), length=100)
+    light = periodic_stream(np.full((2, 3), 5.0), length=100)
+    small = periodic_stream(np.full((1, 3), 5.0), length=100)
+    with pytest.raises(ValueError, match=r"^light2 stream is 3x1, dark stream is 3x2$"):
+        build_calibration(dark, light, 51.0, small, 85.0)
+
+
+def test_build_calibration_warning_states_the_masked_share(caplog):
+    # 2 of 25 pixels silent under light: 8%, below the quality limit
+    periods = np.full((5, 5), 5.0)
+    periods[1, 2] = periods[4, 0] = np.inf
+    dark = periodic_stream(np.full((5, 5), np.inf), length=400)
+    light = periodic_stream(periods, length=400)
+    with caplog.at_level("WARNING", logger="spikecam.calibration"):
+        build_calibration(dark, light, 51.0, light, 85.0)
+    assert "calibration masked 2 of 25 pixels (8.0%)" in caplog.text
 
 
 def test_build_calibration_keeps_stream_clock():

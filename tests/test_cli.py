@@ -257,7 +257,23 @@ def test_simulate_then_inspect_reports_density(tmp_path, capsys):
     assert "length 100" in text
     assert "tick_nanoseconds 50000" in text
     assert "mean density 0.2" in text
-    assert "frame density histogram" in text
+    # every pixel fires on the same 20 of the 100 ticks
+    histogram = text.split("frame density histogram\n")[1].splitlines()
+    assert histogram == [
+        "  0.0-0.1 80", *(f"  0.{i}-0.{i + 1} 0" for i in range(1, 9)), "  0.9-1.0 20",
+    ]
+
+
+def test_simulate_takes_one_tick_and_seeds_with_zero_by_default(tmp_path):
+    img = _write_pgm(tmp_path / "flat.pgm", np.full((16, 16), 51.0))
+    paths = [tmp_path / f"{name}.spk" for name in ("one", "default", "zero")]
+    assert main(["simulate", "--input", img, "--length", "1", "--out", str(paths[0])]) == 0
+    assert read_stream(str(paths[0])).length == 1
+    assert main(["simulate", "--input", img, "--length", "64", "--out", str(paths[1])]) == 0
+    assert main([
+        "simulate", "--input", img, "--length", "64", "--seed", "0", "--out", str(paths[2]),
+    ]) == 0
+    assert paths[1].read_bytes() == paths[2].read_bytes()
 
 
 def test_inspect_a_zero_tick_stream_prints_only_the_header(tmp_path, capsys):
@@ -588,7 +604,9 @@ def test_raw_import_crops_and_warns(tmp_path, capsys):
 def test_raw_import_below_one_tile_is_a_data_error(tmp_path, capsys):
     raw = tmp_path / "dump.bin"
     raw.write_bytes(bytes(10))
-    assert main(["inspect", str(raw), "--raw", "4x10"]) == 2
+    for geometry in ("4x10", "10x4"):
+        assert main(["inspect", str(raw), "--raw", geometry]) == 2
+        assert f"raw dimensions {geometry} are below one 8-pixel tile" in capsys.readouterr().err
 
 
 def test_raw_import_rejects_malformed_geometry(tmp_path, capsys):

@@ -87,6 +87,14 @@ def test_stream_empty_round_trip(tmp_path):
     assert back.length == 0 and back == stream
 
 
+@pytest.mark.parametrize("width, height", [(1, 5), (7, 1), (1, 1)])
+def test_stream_with_a_side_of_one_round_trips(tmp_path, width, height):
+    stream = random_stream(2, width, height, 9)
+    path = tmp_path / "thin.spk"
+    write_stream(stream, path)
+    assert read_stream(path) == stream
+
+
 def test_stream_sub_nanosecond_tick_rejected(tmp_path):
     stream = random_stream(2, 8, 8, 4, clock=ClockParams(tick_seconds=1e-10))
     with pytest.raises(FormatError):
@@ -278,6 +286,15 @@ def test_center_crop_peaks_near_its_output():
     assert peak <= 2 * cropped.bits.nbytes
 
 
+@pytest.mark.parametrize("width, height", [(1, 4), (6, 1), (1, 1)])
+def test_center_crop_to_a_side_of_one(width, height):
+    stream = random_stream(12, 7, 5, 11)
+    cropped = center_crop(stream, width, height)
+    x0, y0 = (7 - width) // 2, (5 - height) // 2
+    want = stream.to_dense()[:, y0 : y0 + height, x0 : x0 + width]
+    np.testing.assert_array_equal(cropped.to_dense(), want)
+
+
 def test_center_crop_validates_target():
     stream = random_stream(10, 8, 8, 4)
     with pytest.raises(ValueError):
@@ -316,6 +333,13 @@ def test_image_16bit_endpoints_are_exact(tmp_path):
     raw = path.read_bytes()
     assert raw.endswith(b"\x00\x00\xff\xff")
     np.testing.assert_array_equal(read_image(path), [[0.0, 255.0]])
+
+
+def test_image_16bit_clips_past_full_scale_without_wrapping(tmp_path):
+    path = tmp_path / "img.pgm"
+    write_image(np.array([[255.2, 300.0, 1e6, -3.0]]), path, bit_depth=16)
+    assert path.read_bytes().endswith(b"\xff\xff" * 3 + b"\x00\x00")
+    np.testing.assert_array_equal(read_image(path), [[255.0, 255.0, 255.0, 0.0]])
 
 
 def test_image_16bit_preserves_8bit_grid(tmp_path):
@@ -399,6 +423,28 @@ def test_calibration_round_trip_is_bit_exact(tmp_path):
     assert np.isinf(back.D_dark[0, 0])
     assert back.reference_pixel == (2, 1)
     assert back.clock == calib.clock
+
+
+@pytest.mark.parametrize("width, height", [(1, 3), (4, 1), (1, 1)])
+def test_calibration_with_a_side_of_one_round_trips(tmp_path, width, height):
+    rng = np.random.default_rng(width * 10 + height)
+    calib = make_calibration(
+        rng.uniform(0.5, 5.0, (height, width)), rng.uniform(0.9, 1.1, (height, width))
+    )
+    path = tmp_path / "thin.cal"
+    write_calibration(calib, path)
+    back = read_calibration(path)
+    for name in ("L_d", "R", "Q_r", "D_dark"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(calib, name))
+
+
+def test_calibration_with_a_one_nanosecond_tick_round_trips(tmp_path):
+    calib = make_calibration(
+        np.zeros((2, 2)), np.ones((2, 2)), clock=ClockParams(tick_seconds=1e-9)
+    )
+    path = tmp_path / "fast.cal"
+    write_calibration(calib, path)
+    assert read_calibration(path).clock == calib.clock
 
 
 def test_calibration_document_is_text(tmp_path):

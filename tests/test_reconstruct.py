@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spikecam.calibration import identity_calibration, make_calibration
 from spikecam.reconstruct import (
@@ -21,7 +23,7 @@ from spikecam.reconstruct import (
     wavelet_denoise,
 )
 from spikecam.simulate import simulate_ideal
-from spikecam.streams import SpikeStream
+from spikecam.streams import SpikeStream, TickGroupRing
 from spikecam.wavelet import DetailBands, WaveletPyramid, build_pyramid, collapse_pyramid
 
 
@@ -272,6 +274,138 @@ def test_adaptive_transform_memory_stays_bounded_at_sensor_size():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# A move of the restored tick: a step by some ticks (forward, backward or
+# none), or a jump to an absolute tick, the stream's first, fourth or last
+# included; each with its own window override.
+_moves = st.tuples(
+    st.one_of(
+        st.integers(-40, 40).map(lambda d: ("by", d)),
+        st.sampled_from([("at", 0), ("at", 3), ("at", -1)]),
+        st.integers(0, 2**16).map(lambda v: ("at", v)),
+    ),
+    st.sampled_from([None, None, None, 1, 9, 300]),
+)
+
+
+@given(
+    st.integers(1, 300),
+    st.integers(1, 300),
+    st.sampled_from([(1, 1), (3, 5), (4, 6), (7, 13), (9, 17)]),
+    st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    st.booleans(),
+    st.lists(_moves, min_size=1, max_size=12),
+    st.integers(0, 12),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_stepped_state_counts_as_a_fresh_one(
+    length, second_length, shape, scale, causal, moves, switch, seed
+):
+    # One state walks both streams; after every step its image and density
+    # map must equal those of a fresh state and of the prefix-sum oracle.
+    rng = np.random.default_rng(seed)
+    height, width = shape
+    streams = [
+        SpikeStream.from_dense(rng.random((n, height, width)) < rng.uniform(0.02, 0.6))
+        for n in (length, second_length)
+    ]
+    state = RestorerState(density_map=rng.random(shape) * scale)
+    t = 0
+    for i, ((kind, value), override) in enumerate(moves):
+        stream = streams[i >= switch]
+        if kind == "by":
+            t = min(max(t + value, 0), stream.length - 1)
+        else:
+            t = value % stream.length
+        fresh = RestorerState(density_map=state.density_map.copy())
+        want = RestorerState(density_map=state.density_map.copy())
+        kwargs = dict(causal=causal, window_override=override)
+        got = adaptive_transform(stream, t, state, **kwargs)
+        case = (i, t, override)
+        assert np.array_equal(got, adaptive_transform(stream, t, fresh, **kwargs)), case
+        assert np.array_equal(got, reference_adaptive_transform(stream, t, want, **kwargs)), case
+        assert np.array_equal(state.density_map, fresh.density_map), case
+        assert np.array_equal(state.density_map, want.density_map), case
+
+
+def test_a_stepped_state_forgets_the_groups_its_ring_overwrote():
+    # With 9-tick windows the ring holds three groups: two steps forward
+    # overwrite the oldest, and a step back must not read it.
+    rng = np.random.default_rng(5)
+    stream = SpikeStream.from_dense(rng.random((200, 3, 5)) < 0.4)
+    state = RestorerState(density_map=np.zeros((3, 5)))
+    for t in (100, 108, 116, 100, 92, 124, 96):
+        fresh = RestorerState(density_map=state.density_map.copy())
+        got = adaptive_transform(stream, t, state, window_override=9)
+        assert np.array_equal(got, adaptive_transform(stream, t, fresh, window_override=9)), t
+
+
+def test_tick_group_ring_holds_one_span_at_sensor_size():
+    rng = np.random.default_rng(1)
+    height, width = 248, 400
+    bits = rng.integers(0, 256, size=(768, height * width // 8), dtype=np.uint8)
+    stream = SpikeStream.from_packed(bits, width, height)
+    tracemalloc.start()
+    try:
+        state = RestorerState(density_map=np.zeros((height, width)))
+        for t in range(256, 256 + 20 * 16, 16):
+            # zero density gives every pixel the widest window, 256 ticks
+            state.density_map = np.zeros((height, width))
+            adaptive_transform(stream, t, state)
+        held = tracemalloc.get_traced_memory()[0]
+        state.tick_groups = TickGroupRing()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    span = 256 // 8 + 1  # the 8-tick groups a 256-tick window can touch
+    # one byte per pixel per group, plus a few object headers
+    assert span * height * width <= held <= (span + 1) * height * width + 4096, held
+
+
+# The sensor symmetries: each maps an array over (..., height, width) to
+# the same array flipped or transposed.
+_SYMMETRIES = {
+    "flip x": lambda a: a[..., ::-1],
+    "flip y": lambda a: a[..., ::-1, :],
+    "transpose": lambda a: np.swapaxes(a, -1, -2),
+}
+
+
+@given(
+    st.sampled_from([(7, 13), (5, 3), (9, 17)]),
+    st.sampled_from(sorted(_SYMMETRIES)),
+    st.integers(0, 2**32 - 1),
+)
+def test_tfp_and_ast_commute_with_flips_and_transpose(shape, name, seed):
+    # Pixel counts that are not multiples of 8 put pixels at every offset
+    # of the packed bytes and of the transposed groups.
+    move = _SYMMETRIES[name]
+    rng = np.random.default_rng(seed)
+    length = int(rng.integers(1, 300))
+    dense = rng.random((length, *shape)) < rng.uniform(0.02, 0.6)
+    L_d, R = rng.uniform(0.0, 20.0, shape), rng.uniform(0.8, 1.2, shape)
+    stream = SpikeStream.from_dense(dense)
+    moved = SpikeStream.from_dense(move(dense))
+    calib = make_calibration(L_d, R)
+    moved_calib = make_calibration(move(L_d), move(R))
+    ticks = sorted({0, length - 1, *rng.integers(0, length, 4).tolist()})
+    window = int(rng.integers(1, 65))
+    for method, win in (("tfp", window), ("ast", None)):
+        want = reconstruct(stream, method, ticks, calib, window=win)
+        got = reconstruct(moved, method, ticks, moved_calib, window=win)
+        for t, a, b in zip(ticks, want, got):
+            assert np.array_equal(move(a), b), (method, t)
+
+    # A stepped ast, one state through ticks in any order, repeats included.
+    density = rng.random(shape) * rng.choice([0.05, 0.3, 1.0])
+    state = RestorerState(density_map=density)
+    moved_state = RestorerState(density_map=move(density))
+    for t in rng.integers(0, length, 8).tolist():
+        a = adaptive_transform(stream, t, state)
+        b = adaptive_transform(moved, t, moved_state)
+        assert np.array_equal(move(a), b), t
+        assert np.array_equal(move(state.density_map), moved_state.density_map), t
 
 
 # ----------------------------------------------------------------------
