@@ -216,16 +216,15 @@ def build_calibration(
     L_1: float,
     light2_stream: SpikeStream,
     L_2: float,
-    clock: ClockParams | None = None,
     max_masked_fraction: float = 0.1,
 ) -> CalibrationData:
     """Full calibration from one dark and two lit uniform recordings.
 
     Masked pixels (unusable in any step) are given neutral values L_d = 0,
     R = 1 and counted in a warning.  If more than max_masked_fraction of the
-    sensor is masked, CalibrationQualityError is raised.
+    sensor is masked, CalibrationQualityError is raised.  The result keeps
+    the dark stream's clock.
     """
-    clock = clock or dark_stream.clock
     shape = (dark_stream.height, dark_stream.width)
     for name, s in (("light1", light1_stream), ("light2", light2_stream)):
         if (s.height, s.width) != shape:
@@ -261,4 +260,4 @@ def build_calibration(
         )
     L_d = np.where(masked, 0.0, L_d)
     R = np.where(masked, 1.0, R)
-    return make_calibration(L_d, R, reference, clock)
+    return make_calibration(L_d, R, reference, dark_stream.clock)

@@ -121,6 +121,10 @@ def ast_window(density):
     return int(out) if d.ndim == 0 else out
 
 
+# Ticks at the start of a stream that seed the adaptive transform's density map.
+BOOTSTRAP_TICKS = 64
+
+
 @dataclass
 class RestorerState:
     """Recurrent state: last fused pyramid plus the density estimate.
@@ -204,7 +208,6 @@ class RestorerParams:
     fusion_floor: float = 0.125
     denoise_k: float = 3.0
     refine_beta: float = 0.15
-    bootstrap_window: int = 64
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.fusion_tau) and self.fusion_tau > 0):
@@ -215,10 +218,6 @@ class RestorerParams:
             raise ValueError(f"denoise_k must be >= 0, got {self.denoise_k}")
         if not 0 <= self.refine_beta <= 1:
             raise ValueError(f"refine_beta must be in [0, 1], got {self.refine_beta}")
-        if int(self.bootstrap_window) < 1:
-            raise ValueError(
-                f"bootstrap_window must be >= 1, got {self.bootstrap_window}"
-            )
 
 
 def fusion_mask(cur_ll, prev_ll, params: RestorerParams) -> np.ndarray:
@@ -346,9 +345,9 @@ class StepResult:
 class RecurrentRestorer:
     """Stateful restorer: call step() with increasing ticks.
 
-    The density map bootstraps from the stream's opening ticks and is
-    refreshed by every step; the fused pyramid feeds back as the
-    previous frame.  The first step, having no history, fuses the
+    The density map bootstraps from the stream's first BOOTSTRAP_TICKS
+    ticks and is refreshed by every step; the fused pyramid feeds back as
+    the previous frame.  The first step, having no history, fuses the
     current pyramid with itself.
     """
 
@@ -368,7 +367,7 @@ class RecurrentRestorer:
         self.calib = calib
         self.causal = causal
         self.window_override = window_override
-        boot = stream.density_map(0, int(self.params.bootstrap_window))
+        boot = stream.density_map(0, BOOTSTRAP_TICKS)
         self.state = RestorerState(density_map=boot)
 
     def step(self, t: int) -> StepResult:
@@ -445,8 +444,9 @@ def reconstruct(
     Every image is finite and in [0, 255], bounded by the method itself:
     tfp and tfi by their arithmetic, ast and recurrent by their own clips.
     A tick outside the stream raises IndexError before any image is made.
-    ast bootstraps its density map as RecurrentRestorer does and refreshes
-    it from tick to tick; recurrent is restore_recurrent with default params.
+    ast bootstraps its density map from the first BOOTSTRAP_TICKS ticks, as
+    RecurrentRestorer does, and refreshes it from tick to tick; recurrent
+    is restore_recurrent with default params.
     """
     check_method(method, window)
     ticks = [_check_tick(stream, t) for t in ticks]
@@ -455,7 +455,7 @@ def reconstruct(
     elif method == "tfi":
         return [tfi(stream, t) for t in ticks]
     elif method == "ast":
-        boot = stream.density_map(0, RestorerParams().bootstrap_window)
+        boot = stream.density_map(0, BOOTSTRAP_TICKS)
         state = RestorerState(density_map=boot)
         return [
             correct_fixed_pattern(adaptive_transform(stream, t, state), calib)

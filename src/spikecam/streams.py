@@ -24,21 +24,18 @@ FULL_SCALE = 255.0
 
 @dataclass(frozen=True)
 class ClockParams:
-    """Sensor clock: tick duration in seconds and the firing threshold.
+    """Sensor clock: the tick duration in seconds.
 
-    The digital intensity scale is defined by the threshold: a pixel held at
-    intensity L fires every max_intensity / L ticks.  The threshold is fixed
-    at 255 digital units; tick_seconds defaults to the 20 kHz readout.
+    The digital intensity scale is defined by the firing threshold, fixed at
+    FULL_SCALE (255 digital units): a pixel held at intensity L fires every
+    FULL_SCALE / L ticks.  tick_seconds defaults to the 20 kHz readout.
     """
 
     tick_seconds: float = 50e-6
-    max_intensity: float = FULL_SCALE
 
     def __post_init__(self) -> None:
         if not (self.tick_seconds > 0 and np.isfinite(self.tick_seconds)):
             raise ValueError(f"tick_seconds must be positive and finite, got {self.tick_seconds}")
-        if self.max_intensity != FULL_SCALE:
-            raise ValueError(f"max_intensity is fixed at 255, got {self.max_intensity}")
 
 
 # (shift, mask) of the three delta swaps that transpose an 8x8 bit matrix

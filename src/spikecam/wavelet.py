@@ -114,17 +114,15 @@ def check_pyramid_shape(shape: tuple[int, int]) -> None:
         )
 
 
-def build_pyramid(image: np.ndarray, levels: int = PYRAMID_LEVELS) -> WaveletPyramid:
-    """Decompose an image whose dimensions are divisible by 2**levels."""
+def build_pyramid(image: np.ndarray) -> WaveletPyramid:
+    """Decompose an image whose dimensions are divisible by 2**PYRAMID_LEVELS."""
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {x.shape}")
-    if levels != PYRAMID_LEVELS:
-        raise ValueError(f"pyramid depth is fixed at {PYRAMID_LEVELS}")
     check_pyramid_shape(x.shape)
     details = []
     approx = x
-    for _ in range(levels):
+    for _ in range(PYRAMID_LEVELS):
         ll, lh, hl, hh = dwt_forward(approx)
         details.append(DetailBands(lh, hl, hh))
         approx = ll

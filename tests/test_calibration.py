@@ -13,6 +13,8 @@ from spikecam.calibration import (
     mean_interval_map,
     select_reference_pixel,
 )
+from spikecam.noise import NoiseConfig
+from spikecam.simulate import SimulationRequest, simulate
 from spikecam.streams import ClockParams, SpikeStream
 
 
@@ -267,6 +269,30 @@ def test_nonuniformity_reference_interval_of_one_tick():
 
 # ----------------------------------------------------------------------
 # full procedure
+
+
+def test_build_calibration_commutes_with_a_flip_in_x():
+    shape = (32, 40)
+    rng = np.random.default_rng(2)
+    planted = make_calibration(rng.uniform(0.5, 3.0, shape), rng.uniform(0.9, 1.1, shape))
+    streams = [
+        simulate(
+            SimulationRequest(
+                source=np.full(shape, level), length=8192, calib=planted,
+                noise=NoiseConfig.all(seed),
+            )
+        )
+        for seed, level in enumerate((0.0, 30.0, 60.0))
+    ]
+    calib = build_calibration(streams[0], streams[1], 30.0, streams[2], 60.0)
+    # no tie for the reference pixel, so a flip cannot move it by index
+    T_2 = mean_interval_map(streams[2])
+    dist = np.sort(np.abs(T_2 - T_2.mean()).ravel())
+    assert dist[0] < dist[1]
+    flipped = [SpikeStream.from_dense(s.to_dense()[:, :, ::-1]) for s in streams]
+    other = build_calibration(flipped[0], flipped[1], 30.0, flipped[2], 60.0)
+    for name in ("L_d", "R", "Q_r"):
+        assert np.array_equal(getattr(calib, name)[:, ::-1], getattr(other, name)), name
 
 
 def test_build_calibration_ideal_sensor():

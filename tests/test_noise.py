@@ -193,6 +193,7 @@ def test_split_rng_children_are_independent_and_reproducible():
 def test_noise_config_factories():
     assert NoiseConfig.all(7).any_enabled
     assert NoiseConfig.all(7).rng_seed == 7
+    assert NoiseConfig.all().rng_seed == 0
     off = NoiseConfig.none()
     assert not off.any_enabled
     assert not (off.enable_shot or off.enable_dark)

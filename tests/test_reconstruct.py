@@ -117,6 +117,8 @@ def test_tfi_previous_spike_at_tick_zero_counts():
     # tick 0 is a spike like any other: the interval is 0..10
     stream = stream_from_ticks([0, 10], 20)
     assert tfi(stream, 5)[0, 0] == 25.5
+    # and as the older of two spikes before t, with none after it
+    assert tfi(stream_from_ticks([0, 6], 20), 15)[0, 0] == 42.5
 
 
 def test_tfi_last_tick_of_stream():
@@ -373,13 +375,14 @@ _SYMMETRIES = {
 
 
 @given(
-    st.sampled_from([(7, 13), (5, 3), (9, 17)]),
+    st.sampled_from([(7, 13), (5, 3), (9, 17), (8, 16), (16, 24)]),
     st.sampled_from(sorted(_SYMMETRIES)),
     st.integers(0, 2**32 - 1),
 )
-def test_tfp_and_ast_commute_with_flips_and_transpose(shape, name, seed):
+def test_reconstruct_methods_commute_with_flips_and_transpose(shape, name, seed):
     # Pixel counts that are not multiples of 8 put pixels at every offset
-    # of the packed bytes and of the transposed groups.
+    # of the packed bytes and of the transposed groups; recurrent needs
+    # sides that are multiples of 8.
     move = _SYMMETRIES[name]
     rng = np.random.default_rng(seed)
     length = int(rng.integers(1, 300))
@@ -391,11 +394,17 @@ def test_tfp_and_ast_commute_with_flips_and_transpose(shape, name, seed):
     moved_calib = make_calibration(move(L_d), move(R))
     ticks = sorted({0, length - 1, *rng.integers(0, length, 4).tolist()})
     window = int(rng.integers(1, 65))
-    for method, win in (("tfp", window), ("ast", None)):
+    for method, win in (("tfp", window), ("tfi", None), ("ast", None)):
         want = reconstruct(stream, method, ticks, calib, window=win)
         got = reconstruct(moved, method, ticks, moved_calib, window=win)
         for t, a, b in zip(ticks, want, got):
             assert np.array_equal(move(a), b), (method, t)
+    if shape[0] % 8 == 0 and shape[1] % 8 == 0:
+        # the wavelet stages sum in another order on the moved sensor
+        want = reconstruct(stream, "recurrent", ticks, calib)
+        got = reconstruct(moved, "recurrent", ticks, moved_calib)
+        for t, a, b in zip(ticks, want, got):
+            np.testing.assert_allclose(move(a), b, rtol=0, atol=1e-12, err_msg=f"recurrent {t}")
 
     # A stepped ast, one state through ticks in any order, repeats included.
     density = rng.random(shape) * rng.choice([0.05, 0.3, 1.0])
@@ -459,7 +468,6 @@ def test_params_defaults():
     assert params.fusion_floor == 0.125
     assert params.denoise_k == 3.0
     assert params.refine_beta == 0.15
-    assert params.bootstrap_window == 64
 
 
 def test_params_validation():
@@ -473,8 +481,6 @@ def test_params_validation():
         RestorerParams(denoise_k=-1.0)
     with pytest.raises(ValueError):
         RestorerParams(refine_beta=1.5)
-    with pytest.raises(ValueError):
-        RestorerParams(bootstrap_window=0)
 
 
 # ----------------------------------------------------------------------
@@ -790,3 +796,17 @@ def test_reconstruct_checks_every_tick_for_every_method():
         for ticks in ([-1], [64], [10, 64]):
             with pytest.raises(IndexError, match="outside stream of length 64"):
                 reconstruct(stream, method, ticks, calib, window=window)
+
+
+def test_reconstruct_ast_bootstraps_as_the_restorer_does():
+    # reconstruct's ast and RecurrentRestorer each seed a density map from
+    # the stream's opening ticks; the two must seed the same one.
+    rng = np.random.default_rng(8)
+    shape = (16, 24)
+    dense = rng.random((400, *shape)) < rng.uniform(0.02, 0.4, shape)
+    stream = SpikeStream.from_dense(dense)
+    calib = make_calibration(rng.uniform(0.0, 20.0, shape), rng.uniform(0.8, 1.2, shape))
+    ticks = [150, 166, 390]
+    restorer = RecurrentRestorer(stream, calib)
+    for t, image in zip(ticks, reconstruct(stream, "ast", ticks, calib)):
+        assert np.array_equal(image, restorer.step(t).corrected), t

@@ -147,6 +147,19 @@ def test_brighter_pixels_never_fire_less():
     assert (brighter.count_map(0, 128) >= base.count_map(0, 128)).all()
 
 
+@pytest.mark.parametrize(
+    "move",
+    [lambda a: a[..., ::-1], lambda a: a[..., ::-1, :], lambda a: np.swapaxes(a, -1, -2)],
+    ids=["flip x", "flip y", "transpose"],
+)
+def test_ideal_stream_commutes_with_flips_and_transpose(move):
+    # 9 x 17 puts pixels at every offset of the packed bytes
+    img = np.random.default_rng(6).uniform(0.0, 300.0, (9, 17))
+    stream = simulate_ideal(img, theta=0.7, length=300)
+    moved = simulate_ideal(move(img), theta=0.7, length=300)
+    assert np.array_equal(move(stream.to_dense()), moved.to_dense())
+
+
 def test_rate_readout_recovers_constant_input():
     stream = simulate_ideal(np.full((2, 2), 51.0), length=20)
     assert 255.0 * stream.spike_density(0, 0, 0, 20) == 51.0
@@ -375,7 +388,7 @@ def reference_simulate_ticks(req, calib, rng):
     cfg = req.noise
     h, w = req.frame_shape
     n_pixels = h * w
-    threshold = calib.clock.max_intensity
+    threshold = 255.0
     length = req.length
 
     gain, quantum = sim_mod._effective_gain(calib, cfg)

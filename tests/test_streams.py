@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spikecam.streams import ClockParams, SpikeStream, frame_bytes, validate_image
+from spikecam.streams import ClockParams, SpikeStream, TickGroupRing, frame_bytes, validate_image
 
 
 def dense_volume(draw, max_side=12, max_len=24):
@@ -27,18 +27,12 @@ volumes = st.builds(lambda d: d, st.composite(dense_volume)())
 def test_clock_defaults():
     clock = ClockParams()
     assert clock.tick_seconds == 50e-6
-    assert clock.max_intensity == 255.0
 
 
 def test_clock_rejects_bad_tick():
     for tick in (0.0, -1e-6, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ClockParams(tick_seconds=tick)
-
-
-def test_clock_threshold_fixed():
-    with pytest.raises(ValueError):
-        ClockParams(max_intensity=128.0)
 
 
 def test_frame_bytes_rounds_up():
@@ -266,6 +260,52 @@ def test_window_counts_validation():
     for lo, hi in ((zeros - 1, zeros), (zeros + 2, zeros + 1), (zeros, zeros + 17)):
         with pytest.raises(IndexError):
             stream.window_counts(lo, hi)
+
+
+def test_tick_group_ring_holds_the_groups_of_each_span(monkeypatch):
+    # A span's groups run from its lowest start's to its highest stop's,
+    # [g0, g1).  A rebuild transposes and holds them and one spare group
+    # that reads zero; a step forward transposes only the groups it adds
+    # and writes them over the oldest ones.
+    rng = np.random.default_rng(4)
+    height, width, length = 5, 3, 400
+    dense = rng.random((length, height, width)) < 0.5
+    stream = SpikeStream.from_dense(dense)
+    # one column per packed bit, so the padding pixel reads zero
+    pixels = np.zeros((length, 8 * frame_bytes(width, height)), dtype=bool)
+    pixels[:, : height * width] = dense.reshape(length, -1)
+    groups = np.packbits(pixels.reshape(length // 8, 8, -1), axis=1, bitorder="little")[:, 0]
+    transposed = []
+    tick_bytes = SpikeStream._tick_bytes
+
+    def spy(self, lo, hi):
+        transposed.append((lo, hi))
+        return tick_bytes(self, lo, hi)
+
+    monkeypatch.setattr(SpikeStream, "_tick_bytes", spy)
+    ring = TickGroupRing()
+    # a fresh ring, two steps forward (the first wraps past the ring's
+    # end), a step back, a jump past the held groups and a step forward
+    for lo, hi, rebuilt in (
+        (100, 180, True), (116, 198, False), (130, 206, False),
+        (40, 57, True), (300, 390, True), (308, 398, False),
+    ):
+        start = np.full((height, width), lo + 5)
+        start[2, 1] = lo
+        stop = np.full((height, width), hi - 3)
+        stop[4, 0] = hi
+        g0, g1 = lo // 8, hi // 8 + 1
+        held = ring.stop
+        transposed.clear()
+        ring.window_counts(stream, start, stop)
+        assert transposed == [(8 * (g0 if rebuilt else held), 8 * g1)], (lo, hi)
+        cap = len(ring.ring)
+        if rebuilt:
+            assert (ring.origin, cap) == (g0, g1 - g0 + 1), (lo, hi)
+            assert not ring.ring[-1].any(), (lo, hi)
+        assert ring.first <= g0 and ring.stop == g1, (lo, hi)
+        for g in range(ring.first, g1):
+            np.testing.assert_array_equal(ring.ring[(g - ring.origin) % cap], groups[g])
 
 
 def test_density_map_matches_scalar_density():
